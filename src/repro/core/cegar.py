@@ -280,10 +280,9 @@ class CegarContext:
     def model_for(self, config: ThreatConfig) -> Model:
         """The instrumented model for ``config``, built at most once.
 
-        The cached model keeps its warm state-graph memo
-        (:meth:`repro.mc.model.Model.successor_items`), so later
-        properties with the same adversary skip the state-space
-        re-exploration entirely.
+        The cached model keeps its warm state graph
+        (:meth:`repro.mc.model.Model.graph`), so later properties with
+        the same adversary skip the state-space re-exploration entirely.
         """
         key = threat_config_key(config)
         with self._lock:

@@ -35,8 +35,9 @@ from ..obs.stats import PipelineStats
 from ..obs.metrics import diff_snapshots
 from ..properties.spec import Property
 from .cegar import CegarContext
-from .engine import (AnalysisConfig, ImplementationRun, VerificationEngine,
-                     extraction_cache, run_extraction, verify_one)
+from .engine import (AnalysisConfig, EngineError, ImplementationRun,
+                     VerificationEngine, extraction_cache, run_extraction,
+                     verify_one)
 from .report import AnalysisReport, PropertyResult
 
 
@@ -202,6 +203,21 @@ class ProChecker:
 
 ConfigLike = Union[str, AnalysisConfig]
 
+#: Config fields that configure the one engine ``analyze_many`` shares.
+_ENGINE_SETTINGS = ("group_timeout_seconds", "max_group_retries",
+                    "retry_backoff_seconds", "fault_plan")
+
+
+def _engine_setting(configs: Sequence[AnalysisConfig], name: str):
+    """The value every config agrees on for one engine-wide field."""
+    values = [getattr(config, name) for config in configs]
+    if any(value != values[0] for value in values[1:]):
+        raise EngineError(
+            f"analyze_many configs disagree on {name}: "
+            + ", ".join(f"{config.implementation}={value!r}"
+                        for config, value in zip(configs, values)))
+    return values[0] if values else getattr(AnalysisConfig, name)
+
 
 def analyze_many(configs: Sequence[ConfigLike],
                  jobs: Optional[int] = None
@@ -213,23 +229,17 @@ def analyze_many(configs: Sequence[ConfigLike],
     extraction cache); the property groups of *all* implementations are
     interleaved in a single engine invocation, so a pool of ``jobs``
     workers stays busy across implementation boundaries.  ``jobs``
-    defaults to the widest request among the configs.
+    defaults to the widest request among the configs.  The engine-wide
+    fields (group timeout, retries, backoff, fault plan) must be equal
+    on every config; :class:`EngineError` names the first that is not.
     """
     resolved = [config if isinstance(config, AnalysisConfig)
                 else AnalysisConfig(implementation=config)
                 for config in configs]
+    group_timeout, max_group_retries, retry_backoff, plan = (
+        _engine_setting(resolved, name) for name in _ENGINE_SETTINGS)
     checkers = [ProChecker.from_config(config) for config in resolved]
     before = obs.metrics().snapshot()
-    # Robustness knobs for the one shared engine come from the first
-    # config that sets each of them (``None``/default elsewhere).
-    group_timeout = next((c.group_timeout_seconds for c in resolved
-                          if c.group_timeout_seconds is not None), None)
-    max_group_retries = next((c.max_group_retries for c in resolved
-                              if c.max_group_retries != 2), 2)
-    retry_backoff = next((c.retry_backoff_seconds for c in resolved
-                          if c.retry_backoff_seconds != 0.05), 0.05)
-    plan = next((c.fault_plan for c in resolved
-                 if c.fault_plan is not None), None)
     if plan is not None:
         faults.install(plan)
     batch = ",".join(checker.implementation for checker in checkers)

@@ -18,7 +18,8 @@ Feedback is two-tier, per CovFUZZ adapted to "Learn, Check, Test":
 
 ``fuzz.*`` obs metrics: ``fuzz.execs``, ``fuzz.corpus_size``,
 ``fuzz.coverage_transitions``, ``fuzz.coverage_frontier``,
-``fuzz.deviations``, ``fuzz.minimize_execs``.
+``fuzz.deviations``, ``fuzz.minimize_execs``, ``fuzz.corpus_loaded``,
+``fuzz.corpus_quarantined``.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .. import obs, schema
+from ..blobstore import quarantine, write_atomic
 from ..lte.implementations import IMPLEMENTATION_NAMES
 from .deviation import Deviation, build_deviation
 from .executor import (CoverageKey, ExecutionResult, fsm_coverage_universe,
@@ -332,20 +334,20 @@ class Fuzzer:
         return Path(self.config.corpus_dir)
 
     def _load_corpus_dir(self) -> List[List[Step]]:
-        """Replay previously persisted corpus entries (sorted order)."""
+        """Replay previously persisted corpus entries (sorted order).
+
+        An undecodable entry (a torn or hand-edited file) is moved to
+        ``<corpus_dir>/quarantine/`` and skipped, so it cannot fail
+        every later campaign over the same directory.
+        """
         root = self._corpus_root()
         if root is None or not (root / "corpus").is_dir():
             return []
         loaded: List[List[Step]] = []
         for path in sorted((root / "corpus").glob("*.json")):
-            try:
-                payload = json.loads(path.read_text())
-                schema.check(payload, kind="fuzz corpus entry")
-                steps = clone_schedule(payload["steps"])
-            except (OSError, ValueError, KeyError) as exc:
-                raise FuzzError(
-                    f"corrupt corpus entry {path}: {exc}") from exc
-            loaded.append(steps)
+            steps = _read_corpus_entry(path, root / "quarantine")
+            if steps is not None:
+                loaded.append(steps)
         obs.count("fuzz.corpus_loaded", len(loaded))
         return loaded
 
@@ -354,22 +356,35 @@ class Fuzzer:
         root = self._corpus_root()
         if root is None:
             return
-        directory = root / "corpus"
-        directory.mkdir(parents=True, exist_ok=True)
         payload = schema.stamp({"digest": digest,
                                 "steps": clone_schedule(steps)})
-        (directory / f"{digest}.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_atomic(root / "corpus" / f"{digest}.json",
+                     json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                     "fuzz.corpus_")
 
     def _persist_deviation(self, deviation: Deviation) -> None:
         root = self._corpus_root()
         if root is None:
             return
-        directory = root / "deviations"
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / f"{deviation.digest}.json").write_text(
-            json.dumps(deviation.to_dict(), indent=2, sort_keys=True)
-            + "\n")
+        write_atomic(root / "deviations" / f"{deviation.digest}.json",
+                     json.dumps(deviation.to_dict(), indent=2,
+                                sort_keys=True) + "\n",
+                     "fuzz.deviation_")
+
+
+def _read_corpus_entry(path: Path,
+                       quarantine_dir: Path) -> Optional[List[Step]]:
+    """The schedule filed at ``path``, or ``None`` once an undecodable
+    file has been moved to ``quarantine_dir``."""
+    try:
+        payload = json.loads(path.read_text())
+        if not isinstance(payload, dict):
+            raise ValueError("corpus entry is not an object")
+        schema.check(payload, kind="fuzz corpus entry")
+        return clone_schedule(payload["steps"])
+    except (OSError, ValueError, KeyError, TypeError):
+        quarantine(path, quarantine_dir, "fuzz.corpus_")
+        return None
 
 
 def run_campaign(config: FuzzConfig) -> FuzzResult:

@@ -23,8 +23,10 @@ from typing import List, Optional, Tuple
 
 #: COTS choice observed in the paper's experiments.
 DEFAULT_IND_BITS = 5
-#: SEQ width; 48-bit SQN total in the standard, irrelevant to behaviour.
-DEFAULT_SEQ_BITS = 43
+#: Total SQN width in TS 33.102 (``SEQ || IND``).
+SQN_BITS = 48
+#: SEQ width at the default IND width: 48-bit SQN total in the standard.
+DEFAULT_SEQ_BITS = SQN_BITS - DEFAULT_IND_BITS
 
 
 class SqnError(Exception):
@@ -40,8 +42,8 @@ class Sqn:
     ind_bits: int = DEFAULT_IND_BITS
 
     def __post_init__(self):
-        if self.seq < 0:
-            raise SqnError("SEQ must be non-negative")
+        if not 0 <= self.seq < (1 << (SQN_BITS - self.ind_bits)):
+            raise SqnError(f"SEQ {self.seq} outside the {SQN_BITS}-bit SQN")
         if not 0 <= self.ind < (1 << self.ind_bits):
             raise SqnError(f"IND {self.ind} outside 0..{(1 << self.ind_bits) - 1}")
 

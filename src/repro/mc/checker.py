@@ -16,9 +16,9 @@ facade; this module holds the engines behind it:
   at the first accepting cycle — for violated properties only a
   fraction of the product is ever built.
 - :func:`check_ltl_materialised` — the previous engine (materialise the
-  full reachable product, Tarjan SCC, BFS witness), kept as the
+  full reachable product, Tarjan SCC, BFS witness), kept only as the
   independent reference implementation the on-the-fly path is
-  equivalence-tested against.
+  equivalence-tested against; production never dispatches to it.
 
 The extracted 4G LTE models are small enumerated-domain systems (that is
 the paper's RQ3 point: semantic extraction keeps the model within COTS
@@ -33,7 +33,6 @@ search frontier (outer + nested DFS stack, or the BFS queue).
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -44,10 +43,6 @@ from .expr import And, Const, Expr, Not, Or
 from .graph import StateGraph
 from .ltl import Atom, BinOp, BoolConst, Formula, LTL_FALSE
 from .model import Model
-
-#: Strategy names accepted by the facade / ``_check_formula``.
-STRATEGY_ON_THE_FLY = "on_the_fly"
-STRATEGY_MATERIALISED = "materialised"
 
 
 class CheckerError(Exception):
@@ -369,8 +364,6 @@ class _Product:
         while worklist:
             model_key, buchi_state = worklist.pop()
             node_id = self.nodes[(model_key, buchi_state)]
-            # successor_items memoises on the model, so properties sharing
-            # a threat-instrumented model also share its state graph.
             for label, successor_key in model.successor_items(model_key):
                 self.model_states_seen.add(successor_key)
                 successor_state = model.unkey(successor_key)
@@ -572,41 +565,14 @@ def check_ltl_materialised(model: Model, formula: Formula,
 
 
 # ---------------------------------------------------------------------------
-# Dispatch + deprecation shims
+# Dispatch
 # ---------------------------------------------------------------------------
 def _check_formula(model: Model, formula: Formula,
-                   name: str = "property",
-                   strategy: str = STRATEGY_ON_THE_FLY) -> CheckResult:
-    """Validate, take the invariant fast path, dispatch on strategy."""
+                   name: str = "property") -> CheckResult:
+    """Validate, take the invariant fast path, else search on the fly."""
     for expr in formula.atoms():
         model.validate_expression(expr)
     invariant = as_invariant(formula)
     if invariant is not None:
         return _check_invariant(model, invariant, name)
-    if strategy == STRATEGY_MATERIALISED:
-        return check_ltl_materialised(model, formula, name)
-    if strategy != STRATEGY_ON_THE_FLY:
-        raise CheckerError(f"unknown checking strategy {strategy!r}")
     return _check_ltl_on_the_fly(model, formula, name)
-
-
-def check_invariant(model: Model, invariant: Expr,
-                    name: str = "invariant") -> CheckResult:
-    """Deprecated shim — route checks through
-    :class:`repro.mc.ModelChecker` instead."""
-    warnings.warn(
-        "check_invariant() is deprecated; use "
-        "repro.mc.ModelChecker().check(model, CheckRequest(...))",
-        DeprecationWarning, stacklevel=2)
-    return _check_invariant(model, invariant, name)
-
-
-def check_ltl(model: Model, formula: Formula,
-              name: str = "property") -> CheckResult:
-    """Deprecated shim — route checks through
-    :class:`repro.mc.ModelChecker` instead."""
-    warnings.warn(
-        "check_ltl() is deprecated; use "
-        "repro.mc.ModelChecker().check(model, CheckRequest(...))",
-        DeprecationWarning, stacklevel=2)
-    return _check_formula(model, formula, name)

@@ -18,7 +18,7 @@ already in the result store complete as O(1) store hits during replay;
 jobs that were running at the crash re-run cold (the pipeline is
 side-effect free until the store write, so a re-run is safe).
 
-Durability idioms mirror :mod:`repro.store`: appends are
+Durability idioms are those of :mod:`repro.blobstore`: appends are
 ``flush + fsync`` so a journaled transition survives the process;
 rotation (compaction to only-pending ``submit`` records) writes a temp
 file and ``os.replace``\\ s it atomically; a corrupted tail — the
@@ -40,9 +40,10 @@ import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .. import faults, obs, schema
+from ..blobstore import write_atomic
 
 #: Lifecycle events a journal line may carry.
 EVENT_SUBMIT = "submit"
@@ -215,8 +216,9 @@ class JobJournal:
         Called after a replay: the finished-job history has served its
         purpose, so the new journal holds exactly the still-pending
         submissions (their ``start``/``finish`` lines will be appended
-        as they re-execute).  Written temp-file-then-``os.replace`` so
-        a crash mid-rotation leaves the old journal intact.
+        as they re-execute).  Written with
+        :func:`repro.blobstore.write_atomic`, so a crash mid-rotation
+        leaves the old journal intact.
         """
         lines = []
         for entry in pending:
@@ -227,12 +229,7 @@ class JobJournal:
                                     separators=(",", ":"), default=str))
         text = "".join(line + "\n" for line in lines)
         with self._lock:
-            tmp = self.path.with_suffix(".tmp")
-            with open(tmp, "w") as handle:
-                handle.write(text)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.path)
+            write_atomic(self.path, text, "serve.journal_")
         obs.count("serve.journal_rotations")
 
     # ------------------------------------------------------------------

@@ -53,13 +53,6 @@ class TestVerdictEnum:
         result = PropertyResult(make_property(), "violated")
         assert result.outcome is Verdict.VIOLATED
 
-    def test_deprecated_verdict_alias(self):
-        result = PropertyResult(make_property(), Verdict.VERIFIED)
-        with pytest.deprecated_call():
-            value = result.verdict
-        assert value == "verified"
-        assert value == result.outcome.value
-
     def test_to_dict_emits_plain_strings(self):
         # from_dict resolves the property from the catalog, so the
         # round-trip needs a real identifier

@@ -11,8 +11,8 @@ import json
 import pytest
 
 from repro import obs
-from repro.fuzz import (Deviation, FuzzConfig, FuzzConfigError, FuzzError,
-                        Fuzzer, campaign_digest, run_campaign)
+from repro.fuzz import (Deviation, FuzzConfig, FuzzConfigError, Fuzzer,
+                        campaign_digest, run_campaign)
 from repro.obs.metrics import diff_snapshots
 from repro.testbed.experiments import replay_deviation
 
@@ -124,12 +124,25 @@ class TestPersistence:
             == first.corpus_size
         assert second.execs == 32
 
-    def test_corrupt_corpus_entry_is_a_typed_error(self, tmp_path):
+    def test_corrupt_corpus_entry_is_quarantined(self, tmp_path):
+        # A torn file must not fail this or any later campaign over the
+        # directory: it is moved aside and the campaign runs.
         directory = tmp_path / "corpus"
         directory.mkdir()
         (directory / "bad.json").write_text("{not json")
-        with pytest.raises(FuzzError):
-            small_campaign("srsue", budget=8, corpus_dir=str(tmp_path))
+        (directory / "list.json").write_text("[1, 2]")
+        before = obs.metrics().snapshot()
+        result = small_campaign("srsue", budget=8,
+                                corpus_dir=str(tmp_path))
+        delta = diff_snapshots(before, obs.metrics().snapshot())
+        assert result.execs == 8
+        assert delta["counters"].get("fuzz.corpus_quarantined") == 2
+        assert sorted(p.name for p in
+                      (tmp_path / "quarantine").iterdir()) \
+            == ["bad.json", "list.json"]
+        assert not (directory / "bad.json").exists()
+        assert small_campaign("srsue", budget=8,
+                              corpus_dir=str(tmp_path)).execs == 8
 
     def test_artifact_round_trips_and_replays(self, tmp_path):
         root = tmp_path / "fuzz"

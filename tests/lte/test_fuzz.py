@@ -7,7 +7,7 @@ bytes, random field soup, and bit-flipped genuine frames, asserting that
 advances the protocol state.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.lte import constants as c
 from repro.lte.channel import RadioLink
@@ -61,6 +61,9 @@ class TestBitFlips:
     @given(st.integers(min_value=0, max_value=2000),
            st.integers(min_value=0, max_value=7),
            st.sampled_from(("reference", "srsue", "oai")))
+    # A flipped AUTN SEQ bit once decoded past the 48-bit SQN and
+    # crashed f1_mac with OverflowError instead of a MAC failure.
+    @example(position=186, bit=3, implementation="reference")
     def test_flipped_genuine_frames_never_crash(self, position, bit,
                                                 implementation):
         ue, link = attached_ue(implementation)

@@ -20,6 +20,14 @@ class TestSqn:
         with pytest.raises(SqnError):
             Sqn(seq=-1, ind=0)
 
+    def test_seq_beyond_48_bit_sqn_rejected(self):
+        largest = (1 << (48 - DEFAULT_IND_BITS)) - 1
+        assert Sqn.unpack(Sqn(largest, 31).value).seq == largest
+        with pytest.raises(SqnError):
+            Sqn(seq=largest + 1, ind=0)
+        with pytest.raises(SqnError):
+            Sqn.unpack(1 << 48)
+
     @given(st.integers(0, 10_000), st.integers(0, 31))
     def test_roundtrip_property(self, seq, ind):
         sqn = Sqn(seq, ind)

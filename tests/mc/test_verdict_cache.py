@@ -4,10 +4,10 @@ import json
 
 import pytest
 
-from repro.mc import (CheckRequest, CheckResult, McVerdictCache, Model,
-                      ModelChecker, Plus, STRATEGY_MATERIALISED, Variable,
+from repro import schema
+from repro.mc import (CheckRequest, CheckResult, McCacheError,
+                      McVerdictCache, Model, ModelChecker, Plus, Variable,
                       parse_expr, parse_ltl, verdict_digest)
-from repro.mc.checker import CheckerError
 
 
 def counter_model(name="counter"):
@@ -74,16 +74,62 @@ class TestMcVerdictCache:
         assert not path.exists()
         assert cache.stats()["quarantined"] == 1
 
+    def test_unparseable_result_is_quarantined_miss(self, tmp_path):
+        # Valid JSON, right digest, current schema — but the payload
+        # makes CheckResult.from_dict raise TypeError.
+        cache = McVerdictCache(tmp_path)
+        digest = "ef" * 32
+        path = cache.path_for(digest)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(schema.stamp({
+            "digest": digest, "key": None,
+            "result": {"property_name": "p", "holds": False,
+                       "counterexample": {"initial_state": 5}}})))
+        with pytest.raises(TypeError):
+            CheckResult.from_dict(json.loads(path.read_text())["result"])
+        assert cache.get(digest) is None
+        assert not path.exists()
+        assert cache.stats() == {"entries": 0, "quarantined": 1}
+
+    def test_parent_format_entry_reads_as_hit(self, tmp_path):
+        # The exact bytes earlier releases filed: sorted keys, default
+        # separators, verdict under "result".
+        digest = "0a" * 32
+        path = tmp_path / "0a" / f"{digest}.json"
+        path.parent.mkdir()
+        path.write_text(
+            '{"digest": "' + digest + '", "key": {"formula": "f", '
+            '"model_fingerprint": "m", "threat_digest": ""}, '
+            '"result": {"buchi_states": 0, "counterexample": '
+            '{"initial_state": {"c": 0}, "loop_start": null, "steps": '
+            '[{"label": "inc", "state": {"c": 1}}]}, '
+            '"elapsed_seconds": 0.0001, "from_cache": false, '
+            '"holds": false, "peak_frontier": 1, "product_states": 0, '
+            '"property_name": "p", "schema_version": "1.2", '
+            '"states_explored": 2}, "schema_version": "1.2"}')
+        cache = McVerdictCache(tmp_path)
+        restored = cache.get(digest)
+        assert restored is not None and restored.from_cache
+        assert not restored.holds
+        assert restored.counterexample.steps[0].state == {"c": 1}
+        assert cache.digests() == [digest]
+
+    def test_write_format_is_stable(self, tmp_path):
+        cache = McVerdictCache(tmp_path)
+        result = CheckResult("p", holds=True, states_explored=3)
+        digest = "1b" * 32
+        path = cache.put(digest, result, key={"formula": "f"})
+        assert path == tmp_path / "1b" / f"{digest}.json"
+        assert path.read_text() == json.dumps(schema.stamp({
+            "digest": digest, "key": {"formula": "f"},
+            "result": result.to_dict()}), sort_keys=True)
+
     def test_malformed_digest_rejected(self, tmp_path):
-        with pytest.raises(Exception):
+        with pytest.raises(McCacheError):
             McVerdictCache(tmp_path).path_for("../escape")
 
 
 class TestModelCheckerFacade:
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(CheckerError):
-            ModelChecker(strategy="guess")
-
     def test_cache_hit_skips_exploration(self, tmp_path):
         checker = ModelChecker(cache=McVerdictCache(tmp_path))
         model = counter_model()
@@ -121,11 +167,6 @@ class TestModelCheckerFacade:
                                                   use_cache=False))
         assert not fresh.from_cache
 
-    def test_per_request_strategy_override(self):
-        result = ModelChecker().check(counter_model(), CheckRequest(
-            formula="G F (c = 0)", strategy=STRATEGY_MATERIALISED))
-        assert result.holds
-
     def test_export_smv(self):
         text = ModelChecker().export_smv(counter_model(), CheckRequest(
             formula="G (c <= 3)", name="bound"))
@@ -136,12 +177,18 @@ class TestModelCheckerFacade:
 class TestWireForms:
     def test_check_request_round_trip(self):
         request = CheckRequest(formula="G (c < 3)", name="p",
-                               threat_digest="td", use_cache=False,
-                               strategy=STRATEGY_MATERIALISED)
+                               threat_digest="td", use_cache=False)
         payload = json.loads(json.dumps(request.to_dict()))
         assert "schema_version" in payload
         restored = CheckRequest.from_dict(payload)
         assert restored == request
+
+    def test_check_request_ignores_legacy_strategy_field(self):
+        payload = CheckRequest(formula="G (c < 3)").to_dict()
+        assert "strategy" not in payload
+        payload["strategy"] = "materialised"
+        assert (CheckRequest.from_dict(payload)
+                == CheckRequest(formula="G (c < 3)"))
 
     def test_check_result_round_trip(self):
         result = ModelChecker().check_formula(

@@ -140,3 +140,32 @@ class TestResultStore:
         store.get(digest)
         stats = store.stats()
         assert stats["entries"] == 1
+
+    def test_parent_format_entry_reads_as_hit(self, tmp_path):
+        # The exact bytes earlier releases filed: sorted keys, default
+        # separators, report under "report", sharded by digest prefix.
+        digest = "5e" * 32
+        path = tmp_path / "store" / "5e" / f"{digest}.json"
+        path.parent.mkdir(parents=True)
+        path.write_text(
+            '{"digest": "' + digest + '", "key": {"catalog": "c", '
+            '"implementation": "srsue"}, "report": {"implementation": '
+            '"srsue", "results": [], "schema_version": "1.2"}, '
+            '"schema_version": "1.2"}')
+        store = ResultStore(tmp_path / "store")
+        assert store.get(digest) == {"implementation": "srsue",
+                                     "results": [],
+                                     "schema_version": "1.2"}
+        assert store.digests() == [digest]
+        assert store.stats() == {"entries": 1, "quarantined": 0}
+
+    def test_write_format_is_stable(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        digest = "6f" * 32
+        payload = {"implementation": "srsue", "results": []}
+        path = store.put(digest, payload, key={"catalog": "c"})
+        assert path == tmp_path / "store" / "6f" / f"{digest}.json"
+        assert path.read_text() == json.dumps(schema.stamp({
+            "digest": digest, "key": {"catalog": "c"},
+            "report": payload}), sort_keys=True)
+        assert [p.name for p in path.parent.iterdir()] == [path.name]

@@ -42,6 +42,23 @@ class TestShimRemoval:
         for module in (repro, repro.core, api):
             assert not hasattr(module, "analyze_implementation")
 
+    def test_model_checking_shims_are_gone(self):
+        import inspect
+
+        import repro.mc
+        import repro.mc.checker
+        for name in ("check_ltl", "check_invariant",
+                     "STRATEGY_MATERIALISED", "STRATEGY_ON_THE_FLY"):
+            for module in (repro.mc, repro.mc.checker, api):
+                assert not hasattr(module, name), (module, name)
+        assert "strategy" not in inspect.signature(
+            api.ModelChecker).parameters
+        assert "strategy" not in inspect.signature(
+            api.CheckRequest).parameters
+
+    def test_verdict_alias_is_gone(self):
+        assert not hasattr(api.PropertyResult, "verdict")
+
     def test_smoke_analysis_through_facade(self):
         config = api.AnalysisConfig("reference", property_ids=["SEC-37"])
         report = api.ProChecker.from_config(config).analyze()

@@ -72,6 +72,22 @@ class TestParallelDeterminism:
             assert report.verdict_signature() \
                 == serial_reports[implementation].verdict_signature()
 
+    @pytest.mark.parametrize("field,values", [
+        ("max_group_retries", (2, 0)),
+        ("retry_backoff_seconds", (0.05, 0.2)),
+        ("group_timeout_seconds", (None, 30.0)),
+    ])
+    def test_analyze_many_rejects_disagreeing_engine_fields(
+            self, field, values):
+        # One engine serves every config, so an engine-wide field that
+        # differs between configs has no single correct value.
+        configs = [AnalysisConfig(implementation, property_ids=["SEC-37"],
+                                  **{field: value})
+                   for implementation, value
+                   in zip(("reference", "srsue"), values)]
+        with pytest.raises(EngineError, match=field):
+            analyze_many(configs, jobs=1)
+
 
 # ---------------------------------------------------------------------------
 # Observability: stats determinism, trace reassembly, CLI emission
