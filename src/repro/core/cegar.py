@@ -311,26 +311,21 @@ def check_with_cegar(
     """Run the full MC↔CPV loop for one LTL property.
 
     ``context`` shares the property-invariant inputs (validator, base
-    models) across calls; verdicts are identical with or without it.
+    models) across calls; without one, the call builds its own, so
+    verdicts are identical either way.
     """
+    context = context or CegarContext(ue_fsm, mme_fsm)
     result = CegarResult(property_name=name, verified=False)
     with obs.span("cegar", property=name) as span:
-        validator = context.validator if context is not None \
-            else CounterexampleValidator(mme_fsm)
-        checker = context.checker if context is not None \
-            else ModelChecker()
+        validator = context.validator
         current_config = config
 
         while result.iterations < max_iterations:
             result.iterations += 1
             obs.inc("cegar.iterations")
             faults.trip("cegar.iteration", key=name)
-            if context is not None:
-                model = context.model_for(current_config)
-            else:
-                model = ThreatInstrumentor(ue_fsm, mme_fsm,
-                                           current_config).build(name)
-            mc_result = checker.check(model, CheckRequest(
+            model = context.model_for(current_config)
+            mc_result = context.checker.check(model, CheckRequest(
                 formula=formula_text, name=name,
                 threat_digest=threat_config_digest(current_config)))
             result.mc_results.append(mc_result)

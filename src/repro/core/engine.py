@@ -28,10 +28,11 @@ Fault tolerance (the crash-isolation contract): a single property's
 failure must never erase the other 61 verdicts.  Checker exceptions are
 caught at the group boundary and become :attr:`Verdict.ERROR` results
 carrying the exception chain as evidence; crashed or timed-out groups
-are retried with backoff on a rebuilt pool (a dead worker breaks the
-whole ``ProcessPoolExecutor``), and groups that exhaust their retries
-degrade to the in-process serial path, so :meth:`VerificationEngine.verify`
-always returns a complete outcome map.  Retries, timeouts, rebuilds and
+are retried up to :data:`MAX_GROUP_RETRIES` times with backoff on a
+rebuilt pool (a dead worker breaks the whole ``ProcessPoolExecutor``),
+and groups that exhaust their retries degrade to the same in-process
+loop that ``jobs=1`` runs, so :meth:`VerificationEngine.verify` always
+returns a complete outcome map.  Retries, timeouts, rebuilds and
 degradations are counted in the :mod:`repro.obs` metrics registry
 (``engine.group_*`` / ``engine.pool_rebuilds``).  The deterministic
 fault-injection harness (:mod:`repro.faults`) has trip points at
@@ -84,7 +85,8 @@ class AnalysisConfig:
     """Declarative description of one analysis run.
 
     Consumed by :meth:`ProChecker.from_config` and :func:`analyze_many`;
-    every knob the CLI exposes maps onto one field here.
+    every knob the CLI exposes maps onto one field here.  The pool's
+    retry budget is not a field: see :data:`MAX_GROUP_RETRIES`.
     """
 
     implementation: str
@@ -98,19 +100,10 @@ class AnalysisConfig:
     jobs: Optional[int] = None
     #: CEGAR iteration budget per property
     max_cegar_iterations: int = 8
-    #: reuse conformance runs/extractions across instances (process-wide)
-    use_extraction_cache: bool = True
-    #: share validator + threat models across properties within a run
-    share_cegar_inputs: bool = True
     #: custom conformance suite (defaults to ``full_suite(implementation)``)
     cases: Optional[Sequence[TestCase]] = None
     #: wall-clock budget for one pooled property group; ``None`` → no limit
     group_timeout_seconds: Optional[float] = None
-    #: pooled attempts beyond the first before a group degrades to the
-    #: in-process serial fallback
-    max_group_retries: int = 2
-    #: base of the exponential backoff slept before a pooled retry round
-    retry_backoff_seconds: float = 0.05
     #: deterministic fault plan to install for this run (debugging /
     #: resilience testing; see :mod:`repro.faults`)
     fault_plan: Optional[faults.FaultPlan] = None
@@ -184,11 +177,7 @@ class AnalysisConfig:
             "category": self.category,
             "jobs": self.jobs,
             "max_cegar_iterations": self.max_cegar_iterations,
-            "use_extraction_cache": self.use_extraction_cache,
-            "share_cegar_inputs": self.share_cegar_inputs,
             "group_timeout_seconds": self.group_timeout_seconds,
-            "max_group_retries": self.max_group_retries,
-            "retry_backoff_seconds": self.retry_backoff_seconds,
             "fault_plan": (self.fault_plan.to_dict()
                            if self.fault_plan is not None else None),
             "chaos": (self.chaos.to_dict()
@@ -201,7 +190,11 @@ class AnalysisConfig:
     def from_dict(cls, payload: Dict) -> "AnalysisConfig":
         """Rebuild a config from a job payload.
 
-        Raises :class:`~repro.schema.SchemaVersionError` on an unknown
+        Unknown keys are ignored, including the retired
+        ``use_extraction_cache``, ``share_cegar_inputs``,
+        ``max_group_retries`` and ``retry_backoff_seconds`` that older
+        clients and journals still carry.  Raises
+        :class:`~repro.schema.SchemaVersionError` on an unknown
         wire-format major and :class:`EngineError` on a payload without
         an implementation.
         """
@@ -217,12 +210,7 @@ class AnalysisConfig:
             category=payload.get("category"),
             jobs=payload.get("jobs"),
             max_cegar_iterations=payload.get("max_cegar_iterations", 8),
-            use_extraction_cache=payload.get("use_extraction_cache", True),
-            share_cegar_inputs=payload.get("share_cegar_inputs", True),
             group_timeout_seconds=payload.get("group_timeout_seconds"),
-            max_group_retries=payload.get("max_group_retries", 2),
-            retry_backoff_seconds=payload.get("retry_backoff_seconds",
-                                              0.05),
             fault_plan=(faults.FaultPlan.from_dict(plan)
                         if plan is not None else None),
             chaos=(ChaosConfig.from_dict(chaos)
@@ -585,11 +573,11 @@ class ImplementationRun:
     ue_fsm: FiniteStateMachine
     mme_model: FiniteStateMachine
     properties: Sequence[Property]
+    #: the in-process loop's shared CEGAR inputs (a ProChecker's own)
+    context: CegarContext
     max_iterations: int = 8
-    #: serial mode reuses this context (e.g. a ProChecker's persistent one)
-    context: Optional[CegarContext] = None
     #: persistent MC verdict cache directory, propagated to the contexts
-    #: built in pool workers and fallback paths (``None`` → off)
+    #: built in pool workers (``None`` → off)
     mc_cache_dir: Optional[str] = None
 
 
@@ -645,6 +633,27 @@ def _verify_group(task: Tuple[str, List[Property]]
     return results, spans, obs.metrics().drain()
 
 
+#: Pooled attempts beyond the first before a group degrades to the
+#: in-process loop.
+MAX_GROUP_RETRIES = 2
+#: Base of the exponential backoff slept before a pooled retry round.
+RETRY_BACKOFF_SECONDS = 0.05
+
+
+def _verify_in_process(run: ImplementationRun,
+                       props: Sequence[Property]
+                       ) -> Dict[Tuple[str, str], PropertyResult]:
+    """Verify ``props`` serially in this process on the run's context.
+
+    The ``jobs=1`` path and the degraded fallback of the pool both land
+    here, under the same group-boundary catch as the workers.
+    """
+    return {(run.implementation, prop.identifier):
+            _safe_verify_one(prop, run.implementation, run.ue_fsm,
+                             run.mme_model, run.max_iterations, run.context)
+            for prop in props}
+
+
 class VerificationEngine:
     """Fans property groups out over a process pool (or runs serially).
 
@@ -653,10 +662,11 @@ class VerificationEngine:
     parallel path is validated against.
 
     The pooled path is fault-tolerant: per-task futures with an optional
-    per-group timeout (``group_timeout``), bounded retries with
-    exponential backoff on a rebuilt pool for crashed/timed-out groups,
-    and graceful degradation to the in-process serial path for groups
-    that exhaust their retries.  Because every verdict is a pure
+    per-group timeout (``group_timeout``), up to
+    :data:`MAX_GROUP_RETRIES` retries with exponential backoff (base
+    :data:`RETRY_BACKOFF_SECONDS`) on a rebuilt pool for crashed or
+    timed-out groups, and graceful degradation to the in-process loop
+    for groups that exhaust their retries.  Because every verdict is a pure
     function of its inputs, none of this changes results — a degraded
     run's verdicts are byte-identical to a clean run's (modulo
     ``Verdict.ERROR`` rows for properties whose checker deterministically
@@ -664,14 +674,10 @@ class VerificationEngine:
     """
 
     def __init__(self, jobs: Optional[int] = None,
-                 group_timeout: Optional[float] = None,
-                 max_group_retries: int = 2,
-                 retry_backoff: float = 0.05):
+                 group_timeout: Optional[float] = None):
         self.jobs = max(1, jobs if jobs is not None
                         else (os.cpu_count() or 1))
         self.group_timeout = group_timeout
-        self.max_group_retries = max(0, max_group_retries)
-        self.retry_backoff = max(0.0, retry_backoff)
 
     # ------------------------------------------------------------------
     def verify(self, runs: Sequence[ImplementationRun]
@@ -692,7 +698,9 @@ class VerificationEngine:
                          for group in group_properties(run.properties))
 
         if self.jobs <= 1 or len(tasks) <= 1:
-            outcomes = self._verify_serial(runs)
+            outcomes: Dict[Tuple[str, str], PropertyResult] = {}
+            for run in runs:
+                outcomes.update(_verify_in_process(run, run.properties))
         else:
             outcomes = self._verify_pooled(runs, tasks)
 
@@ -700,20 +708,6 @@ class VerificationEngine:
                 [outcomes[(run.implementation, prop.identifier)]
                  for prop in run.properties]
                 for run in runs}
-
-    # ------------------------------------------------------------------
-    def _verify_serial(self, runs: Sequence[ImplementationRun]
-                       ) -> Dict[Tuple[str, str], PropertyResult]:
-        outcomes: Dict[Tuple[str, str], PropertyResult] = {}
-        for run in runs:
-            context = run.context or CegarContext(
-                run.ue_fsm, run.mme_model, mc_cache_dir=run.mc_cache_dir)
-            for prop in run.properties:
-                outcomes[(run.implementation, prop.identifier)] = \
-                    _safe_verify_one(prop, run.implementation, run.ue_fsm,
-                                     run.mme_model, run.max_iterations,
-                                     context)
-        return outcomes
 
     # ------------------------------------------------------------------
     def _verify_pooled(self, runs: Sequence[ImplementationRun],
@@ -755,7 +749,7 @@ class VerificationEngine:
                     attempts[index] += 1
                     obs.count("engine.group_crashes" if reason == "crash"
                               else "engine.group_timeouts")
-                    if attempts[index] > self.max_group_retries:
+                    if attempts[index] > MAX_GROUP_RETRIES:
                         degrade.append(index)
                     else:
                         obs.count("engine.group_retries")
@@ -768,16 +762,21 @@ class VerificationEngine:
                     self._teardown_pool(pool)
                     pool = None
                     obs.count("engine.pool_rebuilds")
-                    if retry and self.retry_backoff > 0:
+                    if retry and RETRY_BACKOFF_SECONDS > 0:
                         worst = max(attempts[index] for index, _ in
                                     failures)
-                        time.sleep(min(1.0, self.retry_backoff
+                        time.sleep(min(1.0, RETRY_BACKOFF_SECONDS
                                        * (2 ** (worst - 1))))
                 for index in degrade:
+                    # Degraded mode: the group exhausted its pooled
+                    # retries and completes in-process instead.
                     obs.count("engine.group_degradations")
                     implementation, props = tasks[index]
-                    outcomes.update(self._verify_group_fallback(
-                        runs_by_impl[implementation], props))
+                    with obs.span("engine.fallback",
+                                  implementation=implementation,
+                                  group=props[0].identifier):
+                        outcomes.update(_verify_in_process(
+                            runs_by_impl[implementation], props))
                 # Keep submission order stable across rounds so retried
                 # groups land on workers deterministically.
                 pending = sorted(retry)
@@ -835,30 +834,6 @@ class VerificationEngine:
                     failures.append((futures[future], "timeout"))
                 break
         return completed, failures
-
-    def _verify_group_fallback(self, run: ImplementationRun,
-                               props: Sequence[Property]
-                               ) -> Dict[Tuple[str, str], PropertyResult]:
-        """Degraded mode: verify a group in-process, serially.
-
-        Reached when a group exhausted its pooled retries.  Runs under
-        the same group-boundary catch as the workers, so even a
-        deterministic in-process failure yields ``Verdict.ERROR`` rows
-        rather than aborting the run.
-        """
-        if run.context is None:
-            run.context = CegarContext(run.ue_fsm, run.mme_model,
-                                       mc_cache_dir=run.mc_cache_dir)
-        outcomes: Dict[Tuple[str, str], PropertyResult] = {}
-        with obs.span("engine.fallback",
-                      implementation=run.implementation,
-                      group=props[0].identifier):
-            for prop in props:
-                outcomes[(run.implementation, prop.identifier)] = \
-                    _safe_verify_one(prop, run.implementation, run.ue_fsm,
-                                     run.mme_model, run.max_iterations,
-                                     run.context)
-        return outcomes
 
     @staticmethod
     def _teardown_pool(pool: ProcessPoolExecutor) -> None:

@@ -21,6 +21,9 @@ worker pool (``jobs``).  Configure runs declaratively::
 or analyse several implementations through one shared pool::
 
     reports = analyze_many(["reference", "srsue", "oai"])
+
+Both entry points run the same batch function: ``analyze()`` is a batch
+of one.
 """
 
 from __future__ import annotations
@@ -36,8 +39,7 @@ from ..obs.metrics import diff_snapshots
 from ..properties.spec import Property
 from .cegar import CegarContext
 from .engine import (AnalysisConfig, EngineError, ImplementationRun,
-                     VerificationEngine, extraction_cache, run_extraction,
-                     verify_one)
+                     VerificationEngine, extraction_cache, verify_one)
 from .report import AnalysisReport, PropertyResult
 
 
@@ -91,27 +93,20 @@ class ProChecker:
         """Run the conformance suite under instrumentation and extract
         the implementation FSM.
 
-        Goes through the process-wide extraction cache (unless the
-        config disables it), so repeated instances — and the other
-        implementations of an :func:`analyze_many` batch — share one
-        conformance run each.  Cached on the instance after the first
-        call; passing ``cases`` re-extracts from that custom suite.
+        Goes through the process-wide extraction cache, so repeated
+        instances — and the other implementations of an
+        :func:`analyze_many` batch — share one conformance run each.
+        Cached on the instance after the first call; passing ``cases``
+        re-extracts from that custom suite.
         """
         if self._extracted is not None and cases is None:
             return self._extracted
         suite = cases if cases is not None else self.config.cases
         with obs.span("pipeline.extract",
                       implementation=self.implementation):
-            if self.config.use_extraction_cache:
-                record = extraction_cache.get(
-                    self.implementation, suite,
-                    chaos=self.config.chaos,
-                    chaos_runs=self.config.chaos_runs)
-            else:
-                record = run_extraction(
-                    self.implementation, suite,
-                    chaos=self.config.chaos,
-                    chaos_runs=self.config.chaos_runs)
+            record = extraction_cache.get(
+                self.implementation, suite, chaos=self.config.chaos,
+                chaos_runs=self.config.chaos_runs)
         self._extracted = record.fsm
         self._extraction_seconds = record.extraction_seconds
         self._coverage_percent = record.coverage_percent
@@ -124,11 +119,7 @@ class ProChecker:
     # ------------------------------------------------------------------
     # Stage 3+4: verification
     # ------------------------------------------------------------------
-    def _cegar_context(self,
-                      ue_fsm: FiniteStateMachine
-                      ) -> Optional[CegarContext]:
-        if not self.config.share_cegar_inputs:
-            return None
+    def _cegar_context(self, ue_fsm: FiniteStateMachine) -> CegarContext:
         if self._context is None:
             self._context = CegarContext(
                 ue_fsm, self.mme_model,
@@ -146,46 +137,10 @@ class ProChecker:
     # ------------------------------------------------------------------
     # Stage 5: the full run
     # ------------------------------------------------------------------
-    def analyze(self, properties: Optional[Sequence[Property]] = None,
-                jobs: Optional[int] = None) -> AnalysisReport:
-        """Verify every property the config selects (default: all 62).
-
-        ``properties``/``jobs`` override the config for this call only.
-        """
-        before = obs.metrics().snapshot()
-        if self.config.fault_plan is not None:
-            faults.install(self.config.fault_plan)
-        with obs.span("pipeline.analyze",
-                      implementation=self.implementation) as root:
-            ue_fsm = self.extract()
-            selected = (list(properties) if properties is not None
-                        else self.config.resolved_properties())
-            engine = VerificationEngine(
-                jobs if jobs is not None else self.config.resolved_jobs(),
-                group_timeout=self.config.group_timeout_seconds,
-                max_group_retries=self.config.max_group_retries,
-                retry_backoff=self.config.retry_backoff_seconds)
-            run = ImplementationRun(
-                implementation=self.implementation,
-                ue_fsm=ue_fsm,
-                mme_model=self.mme_model,
-                properties=selected,
-                max_iterations=self.config.max_cegar_iterations,
-                context=self._cegar_context(ue_fsm),
-                mc_cache_dir=self.config.mc_cache_dir,
-            )
-            with obs.span("pipeline.verify",
-                          implementation=self.implementation,
-                          jobs=engine.jobs) as vspan:
-                results = engine.verify([run])[self.implementation]
-        report = self._report_skeleton(engine.jobs)
-        report.results = results
-        report.verification_seconds = vspan.duration
-        report.elapsed_seconds = root.duration
-        report.stats = PipelineStats.collect(
-            root, results, self.implementation, engine.jobs,
-            diff_snapshots(before, obs.metrics().snapshot()))
-        return report
+    def analyze(self) -> AnalysisReport:
+        """Verify every property the config selects (default: all 62)."""
+        return _analyze([self], self.config.resolved_jobs())[
+            self.implementation]
 
     def _report_skeleton(self, jobs: int) -> AnalysisReport:
         return AnalysisReport(
@@ -203,9 +158,8 @@ class ProChecker:
 
 ConfigLike = Union[str, AnalysisConfig]
 
-#: Config fields that configure the one engine ``analyze_many`` shares.
-_ENGINE_SETTINGS = ("group_timeout_seconds", "max_group_retries",
-                    "retry_backoff_seconds", "fault_plan")
+#: Config fields that configure the one engine a batch shares.
+_ENGINE_SETTINGS = ("group_timeout_seconds", "fault_plan")
 
 
 def _engine_setting(configs: Sequence[AnalysisConfig], name: str):
@@ -216,29 +170,23 @@ def _engine_setting(configs: Sequence[AnalysisConfig], name: str):
             f"analyze_many configs disagree on {name}: "
             + ", ".join(f"{config.implementation}={value!r}"
                         for config, value in zip(configs, values)))
-    return values[0] if values else getattr(AnalysisConfig, name)
+    return values[0]
 
 
-def analyze_many(configs: Sequence[ConfigLike],
-                 jobs: Optional[int] = None
-                 ) -> Dict[str, AnalysisReport]:
-    """Analyse several implementations through one shared worker pool.
+def _span_seconds(root, name: str, implementation: str) -> float:
+    """Summed duration of one implementation's ``name`` spans."""
+    return sum(span.duration for span in root.find(name)
+               if span.attributes.get("implementation") == implementation)
 
-    Each entry is an implementation name or a full
-    :class:`AnalysisConfig`.  Extractions run once each (via the
-    extraction cache); the property groups of *all* implementations are
-    interleaved in a single engine invocation, so a pool of ``jobs``
-    workers stays busy across implementation boundaries.  ``jobs``
-    defaults to the widest request among the configs.  The engine-wide
-    fields (group timeout, retries, backoff, fault plan) must be equal
-    on every config; :class:`EngineError` names the first that is not.
-    """
-    resolved = [config if isinstance(config, AnalysisConfig)
-                else AnalysisConfig(implementation=config)
-                for config in configs]
-    group_timeout, max_group_retries, retry_backoff, plan = (
-        _engine_setting(resolved, name) for name in _ENGINE_SETTINGS)
-    checkers = [ProChecker.from_config(config) for config in resolved]
+
+def _analyze(checkers: Sequence[ProChecker], jobs: int
+             ) -> Dict[str, AnalysisReport]:
+    """The one pipeline run behind :meth:`ProChecker.analyze` and
+    :func:`analyze_many`: extract every implementation, verify all their
+    property groups in one engine invocation, assemble the reports."""
+    configs = [checker.config for checker in checkers]
+    group_timeout, plan = (_engine_setting(configs, name)
+                           for name in _ENGINE_SETTINGS)
     before = obs.metrics().snapshot()
     if plan is not None:
         faults.install(plan)
@@ -252,35 +200,67 @@ def analyze_many(configs: Sequence[ConfigLike],
                 ue_fsm=ue_fsm,
                 mme_model=checker.mme_model,
                 properties=checker.config.resolved_properties(),
-                max_iterations=checker.config.max_cegar_iterations,
                 context=checker._cegar_context(ue_fsm),
+                max_iterations=checker.config.max_cegar_iterations,
                 mc_cache_dir=checker.config.mc_cache_dir,
             ))
-        engine = VerificationEngine(
-            jobs if jobs is not None
-            else max(config.resolved_jobs() for config in resolved),
-            group_timeout=group_timeout,
-            max_group_retries=max_group_retries,
-            retry_backoff=retry_backoff)
+        engine = VerificationEngine(jobs, group_timeout=group_timeout)
         with obs.span("pipeline.verify", implementation=batch,
                       jobs=engine.jobs) as vspan:
             outcomes = engine.verify(runs)
     metrics_delta = diff_snapshots(before, obs.metrics().snapshot())
+    # The batch's verify wall time is split by each implementation's
+    # property span seconds; its extraction is its own.
+    busy = {checker.implementation: _span_seconds(
+                vspan, obs.PROPERTY_SPAN, checker.implementation)
+            for checker in checkers}
+    total = sum(busy.values())
 
     reports: Dict[str, AnalysisReport] = {}
     for checker in checkers:
+        implementation = checker.implementation
         report = checker._report_skeleton(engine.jobs)
-        report.results = outcomes[checker.implementation]
-        report.verification_seconds = vspan.duration
-        report.elapsed_seconds = root.duration
+        report.results = outcomes[implementation]
+        report.verification_seconds = vspan.duration * (
+            busy[implementation] / total if total else 1 / len(busy))
+        report.elapsed_seconds = report.verification_seconds \
+            + _span_seconds(root, "pipeline.extract", implementation)
         # Per-implementation stats come out of the one shared trace: the
         # collector filters property spans by their implementation
         # attribute, so each report sees only its own rollups.
         report.stats = PipelineStats.collect(
-            root, report.results, checker.implementation, engine.jobs,
+            root, report.results, implementation, engine.jobs,
             metrics_delta)
-        reports[checker.implementation] = report
+        reports[implementation] = report
     return reports
+
+
+def analyze_many(configs: Sequence[ConfigLike],
+                 jobs: Optional[int] = None
+                 ) -> Dict[str, AnalysisReport]:
+    """Analyse several implementations through one shared worker pool.
+
+    Each entry is an implementation name or a full
+    :class:`AnalysisConfig`.  Extractions run once each (via the
+    extraction cache); the property groups of *all* implementations are
+    interleaved in a single engine invocation, so a pool of ``jobs``
+    workers stays busy across implementation boundaries.  ``jobs``
+    defaults to the widest request among the configs.  The engine-wide
+    fields (group timeout, fault plan) must be equal on every config;
+    :class:`EngineError` names the first that is not.
+
+    Each report's ``verification_seconds`` is its share of the batch's
+    verify wall time, in proportion to its property spans, and its
+    ``elapsed_seconds`` adds its own extraction to that share.
+    """
+    resolved = [config if isinstance(config, AnalysisConfig)
+                else AnalysisConfig(implementation=config)
+                for config in configs]
+    if not resolved:
+        raise EngineError("no implementation runs given")
+    return _analyze([ProChecker.from_config(config) for config in resolved],
+                    jobs if jobs is not None
+                    else max(config.resolved_jobs() for config in resolved))
 
 
 # The PR 1 ``analyze_implementation()`` deprecation shim ended its

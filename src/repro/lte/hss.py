@@ -14,11 +14,12 @@ from typing import Dict, List
 
 from .identifiers import Subscriber
 from .security import AuthVector, generate_auth_vector
-from .sqn import Sqn, SqnGenerator
+from .sqn import Sqn, SqnError, SqnGenerator
 
 
 class HssError(Exception):
-    """Raised for unknown subscribers."""
+    """Raised for unknown subscribers and for an SQN that cannot move
+    forward (an exhausted SEQ space or a resync that would exhaust it)."""
 
 
 @dataclass
@@ -49,13 +50,22 @@ class Hss:
     def get_auth_vector(self, imsi: str) -> AuthVector:
         """Mint a fresh authentication vector (increments SEQ and IND)."""
         entry = self._entry(imsi)
-        sqn = entry.generator.next()
+        try:
+            sqn = entry.generator.next()
+        except SqnError as exc:
+            raise HssError(str(exc)) from None
         entry.vectors_issued += 1
         return generate_auth_vector(entry.subscriber.permanent_key, sqn)
 
     def resynchronise(self, imsi: str, resync_seq: int) -> None:
-        """Handle an auth_sync_failure AUTS: jump SEQ past the UE's view."""
+        """Handle an auth_sync_failure AUTS: jump SEQ past the UE's view.
+
+        A ``resync_seq`` that leaves no fresh SEQ in the 48-bit SQN is
+        rejected with :class:`HssError`: no vector could follow it.
+        """
         entry = self._entry(imsi)
+        if resync_seq >= entry.generator.max_seq:
+            raise HssError(f"resync SEQ {resync_seq} leaves no fresh SQN")
         current_seq, current_ind = entry.generator.current
         if resync_seq >= current_seq:
             entry.generator = SqnGenerator(

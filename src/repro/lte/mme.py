@@ -124,7 +124,8 @@ class MmeNas:
         try:
             vector = self.hss.get_auth_vector(self.session_imsi)
         except HssError:
-            # unknown subscriber (or attacker-chosen junk identity)
+            # unknown subscriber (or attacker-chosen junk identity), or
+            # a subscriber whose SEQ space is exhausted
             self._send(c.ATTACH_REJECT, {"cause": c.CAUSE_IMSI_UNKNOWN})
             self.emm_state = c.MME_DEREGISTERED
             return
@@ -176,8 +177,8 @@ class MmeNas:
         try:
             self.hss.resynchronise(self.session_imsi, resync_seq)
         except HssError:
-            self._note("sync_failure_unknown_imsi",
-                       redact(self.session_imsi))
+            # unknown subscriber, or a SEQ with no fresh successor
+            self._note("sync_failure_rejected", redact(self.session_imsi))
             return
         self._note("auth_sync_failure", f"resync to {resync_seq}")
         self._start_authentication()

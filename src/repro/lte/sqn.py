@@ -77,7 +77,16 @@ class SqnGenerator:
         self._ind = start_ind
         self.generated: List[Sqn] = []
 
+    @property
+    def max_seq(self) -> int:
+        """The largest SEQ that fits the 48-bit SQN at this IND width."""
+        return (1 << (SQN_BITS - self.ind_bits)) - 1
+
     def next(self) -> Sqn:
+        """The next fresh SQN; :class:`SqnError` once SEQ is used up
+        (the generator is left unchanged)."""
+        if self._seq >= self.max_seq:
+            raise SqnError(f"SEQ space exhausted at {self._seq}")
         self._seq += 1
         self._ind = (self._ind + 1) % (1 << self.ind_bits)
         sqn = Sqn(self._seq, self._ind, self.ind_bits)

@@ -18,6 +18,7 @@ from repro import faults
 from repro.cli import main as cli_main
 from repro.core import (AnalysisConfig, ProChecker, Verdict, analyze_many,
                         exception_chain)
+from repro.core import engine
 from repro.core.engine import error_result
 from repro.properties import ALL_PROPERTIES, property_by_id
 
@@ -189,13 +190,20 @@ class TestErrorVerdict:
 # Pool resilience: crashed workers, retries, rebuilds, degradation
 # ---------------------------------------------------------------------------
 class TestPoolResilience:
-    def test_worker_exit_still_yields_full_report(self, baseline):
+    @staticmethod
+    def retry_budget(monkeypatch, retries=engine.MAX_GROUP_RETRIES,
+                     backoff=engine.RETRY_BACKOFF_SECONDS):
+        monkeypatch.setattr(engine, "MAX_GROUP_RETRIES", retries)
+        monkeypatch.setattr(engine, "RETRY_BACKOFF_SECONDS", backoff)
+
+    def test_worker_exit_still_yields_full_report(self, baseline,
+                                                  monkeypatch):
         """The acceptance criterion: an exit(13) in the SEC-01 group's
         worker at --jobs 4 must not cost a single verdict."""
+        self.retry_budget(monkeypatch, backoff=0.01)
         plan = faults.FaultPlan.parse(["engine.verify_group@SEC-01:exit:1"])
         report = analyze_many([AnalysisConfig(
-            "reference", jobs=4, fault_plan=plan,
-            retry_backoff_seconds=0.01)])["reference"]
+            "reference", jobs=4, fault_plan=plan)])["reference"]
         assert len(report.results) == 62
         assert report.counts()["errors"] == 0
         # verdicts (order included) byte-identical to fault-free serial
@@ -211,16 +219,17 @@ class TestPoolResilience:
         assert report.stats.canonical_json() \
             == baseline.stats.canonical_json()
 
-    def test_hung_group_times_out_then_falls_back(self, baseline):
+    def test_hung_group_times_out_then_falls_back(self, baseline,
+                                                  monkeypatch):
         """A group exceeding group_timeout_seconds is retried and then
         completed serially without aborting the pool."""
+        self.retry_budget(monkeypatch, retries=1, backoff=0.01)
         spec = faults.FaultSpec("engine.verify_group", faults.KIND_HANG,
                                 key="SEC-01", hang_seconds=60.0)
         report = analyze_many([AnalysisConfig(
             "reference", jobs=2, property_ids=SUBSET,
             fault_plan=faults.FaultPlan.of(spec),
-            group_timeout_seconds=1.5, max_group_retries=1,
-            retry_backoff_seconds=0.01)])["reference"]
+            group_timeout_seconds=1.5)])["reference"]
         assert [r.property.identifier for r in report.results] \
             == list(SUBSET)
         assert report.counts()["errors"] == 0
@@ -238,12 +247,12 @@ class TestPoolResilience:
         assert report.verdict_signature() == baseline.verdict_signature()
         assert engine_counters(report) == {}
 
-    def test_fallback_span_marks_degraded_groups(self):
+    def test_fallback_span_marks_degraded_groups(self, monkeypatch):
+        self.retry_budget(monkeypatch, retries=0, backoff=0.0)
         obs.reset()
         plan = faults.FaultPlan.parse(["engine.verify_group@SEC-01:exit:1"])
         analyze_many([AnalysisConfig(
-            "reference", jobs=4, property_ids=SUBSET, fault_plan=plan,
-            max_group_retries=0, retry_backoff_seconds=0.0)])
+            "reference", jobs=4, property_ids=SUBSET, fault_plan=plan)])
         roots = obs.drain_spans()
         analyze_root = next(r for r in roots if r.name == "pipeline.analyze")
         fallbacks = analyze_root.find("engine.fallback")

@@ -10,6 +10,10 @@ from repro.lte.timers import SimClock
 from repro.lte.ue import UeNas
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
+
+#: SEQ width at the default IND width (48-bit SQN, 5-bit IND)
+MAX_SEQ = (1 << 43) - 1
 
 
 class Harness:
@@ -47,6 +51,16 @@ class TestHss:
         first = harness.hss.get_auth_vector(imsi)
         second = harness.hss.get_auth_vector(imsi)
         assert second.autn_sqn.seq == first.autn_sqn.seq + 1
+
+    def test_resynchronise_rejects_seq_without_successor(self):
+        harness = Harness()
+        imsi = str(harness.subscriber.imsi)
+        with pytest.raises(HssError):
+            harness.hss.resynchronise(imsi, MAX_SEQ)
+        harness.hss.resynchronise(imsi, MAX_SEQ - 1)
+        assert harness.hss.get_auth_vector(imsi).autn_sqn.seq == MAX_SEQ
+        with pytest.raises(HssError):
+            harness.hss.get_auth_vector(imsi)
 
     def test_resynchronise_jumps_forward(self):
         harness = Harness()
@@ -95,6 +109,44 @@ class TestAttachFlow:
                          if m.name == c.AUTHENTICATION_REQUEST]
         assert len(auth_requests) == 2
         assert auth_requests[-1].fields["sqn_seq"] == 31
+
+    @settings(max_examples=60, deadline=None)
+    @given(resync_seq=st.integers(-(1 << 63), (1 << 63) - 1))
+    @example(resync_seq=MAX_SEQ)
+    @example(resync_seq=1 << 62)
+    def test_injected_sync_failure_never_raises(self, resync_seq):
+        """Any signed 64-bit ``resync_seq`` after an attach_request, and a
+        second attach_request after it, is handled without an exception."""
+        harness = Harness()
+        harness.link.detach_ue()
+        imsi = str(harness.subscriber.imsi)
+        harness.inject_uplink(c.ATTACH_REQUEST, imsi=imsi)
+        harness.inject_uplink(c.AUTH_SYNC_FAILURE, resync_seq=resync_seq)
+        harness.inject_uplink(c.ATTACH_REQUEST, imsi=imsi)
+        for request in harness.link.captured_messages("downlink"):
+            if request.name == c.AUTHENTICATION_REQUEST:
+                assert 0 < request.fields["sqn_seq"] <= MAX_SEQ
+        if resync_seq >= MAX_SEQ:
+            assert harness.mme.events[-1].kind != "auth_sync_failure"
+            assert any(e.kind == "sync_failure_rejected"
+                       for e in harness.mme.events)
+
+    def test_resync_to_last_seq_then_exhaustion_rejects_attach(self):
+        """A resync to the last-but-one SEQ leaves exactly one fresh
+        vector; the next attach finds the SEQ space used up and is
+        rejected instead of crashing the MME."""
+        harness = Harness()
+        harness.link.detach_ue()
+        imsi = str(harness.subscriber.imsi)
+        harness.inject_uplink(c.ATTACH_REQUEST, imsi=imsi)
+        harness.inject_uplink(c.AUTH_SYNC_FAILURE, resync_seq=MAX_SEQ - 1)
+        last = harness.link.captured_messages("downlink")[-1]
+        assert last.name == c.AUTHENTICATION_REQUEST
+        assert last.fields["sqn_seq"] == MAX_SEQ
+        harness.inject_uplink(c.ATTACH_REQUEST, imsi=imsi)
+        last = harness.link.captured_messages("downlink")[-1]
+        assert last.name == c.ATTACH_REJECT
+        assert harness.mme.emm_state == c.MME_DEREGISTERED
 
     def test_mac_failure_aborts(self):
         harness = Harness()

@@ -1,6 +1,7 @@
 """The service resilience layer: journal recovery, drain, watchdog
 deadlines, backpressure, and the client retry discipline."""
 
+import json
 import threading
 import time
 
@@ -74,6 +75,35 @@ class TestJournalRecovery:
                 assert _wait(revived, job_id).status is JobStatus.DONE
             assert revived.report(first.digest) is not None
             assert revived.report(second.digest) is not None
+        finally:
+            revived.stop()
+
+    def test_replay_ignores_retired_config_keys(self, tmp_path):
+        # Journals written before four AnalysisConfig fields were
+        # retired carry them in every submit payload; replay must still
+        # run such a job under the same digest.
+        store_dir, journal_dir = tmp_path / "store", tmp_path / "journal"
+        journal = JobJournal(journal_dir)
+        crashed = AnalysisService(ResultStore(store_dir), workers=1,
+                                  journal=journal)
+        job = crashed.submit(_config())
+        entries = [json.loads(line) for line in
+                   journal.path.read_text().splitlines()]
+        for entry in entries:
+            entry["payload"].update(
+                use_extraction_cache=False, share_cegar_inputs=False,
+                max_group_retries=0, retry_backoff_seconds=1.0)
+        journal.path.write_text("".join(json.dumps(entry) + "\n"
+                                        for entry in entries))
+
+        revived = AnalysisService(ResultStore(store_dir), workers=1,
+                                  journal=JobJournal(journal_dir))
+        revived.start()
+        try:
+            done = _wait(revived, job.job_id)
+            assert done.status is JobStatus.DONE
+            assert done.digest == job.digest
+            assert revived.report(job.digest) is not None
         finally:
             revived.stop()
 

@@ -25,9 +25,22 @@ class TestJobIdentity:
         # --jobs widths, so the cache must hit regardless of width.
         narrow = AnalysisConfig("srsue", property_ids=SMALL, jobs=1)
         wide = AnalysisConfig("srsue", property_ids=SMALL, jobs=4,
-                              group_timeout_seconds=5.0,
-                              max_group_retries=3)
+                              group_timeout_seconds=5.0)
         assert job_digest(narrow) == job_digest(wide)
+
+    def test_parent_payload_with_retired_keys_keeps_its_digest(self):
+        # Older clients and journal entries still carry four retired
+        # AnalysisConfig keys; from_dict ignores them, so the job
+        # identity is unchanged.
+        config = AnalysisConfig("srsue", property_ids=SMALL)
+        payload = dict(config.to_dict(),
+                       use_extraction_cache=False,
+                       share_cegar_inputs=False,
+                       max_group_retries=7,
+                       retry_backoff_seconds=1.5)
+        parsed = AnalysisConfig.from_dict(payload)
+        assert parsed == config
+        assert job_digest(parsed) == job_digest(config)
 
     def test_digest_varies_with_inputs(self):
         base = AnalysisConfig("srsue", property_ids=SMALL)

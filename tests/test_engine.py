@@ -14,6 +14,7 @@ import threading
 import pytest
 
 import repro.obs as obs
+from repro import faults
 from repro.core import (AnalysisConfig, EngineError, ExtractionCache,
                         ProChecker, ProCheckerError, analyze_many,
                         extraction_cache, group_properties)
@@ -73,9 +74,9 @@ class TestParallelDeterminism:
                 == serial_reports[implementation].verdict_signature()
 
     @pytest.mark.parametrize("field,values", [
-        ("max_group_retries", (2, 0)),
-        ("retry_backoff_seconds", (0.05, 0.2)),
         ("group_timeout_seconds", (None, 30.0)),
+        ("fault_plan", (None, faults.FaultPlan.parse(
+            ["engine.verify_one@SEC-37:raise:1"]))),
     ])
     def test_analyze_many_rejects_disagreeing_engine_fields(
             self, field, values):
@@ -87,6 +88,53 @@ class TestParallelDeterminism:
                    in zip(("reference", "srsue"), values)]
         with pytest.raises(EngineError, match=field):
             analyze_many(configs, jobs=1)
+
+
+# ---------------------------------------------------------------------------
+# One analysis path: analyze() is a batch of one
+# ---------------------------------------------------------------------------
+def _analyze_root():
+    return next(root for root in obs.drain_spans()
+                if root.name == "pipeline.analyze")
+
+
+class TestSinglePath:
+    def test_analyze_equals_analyze_many_of_one(self, serial_reports):
+        config = AnalysisConfig("reference", jobs=1)
+        batch = analyze_many([config])["reference"]
+        single = serial_reports["reference"]
+        assert batch.verdict_signature() == single.verdict_signature()
+        assert batch.stats.canonical_json() \
+            == single.stats.canonical_json()
+
+    def test_batch_of_one_gets_the_whole_verify_time(self):
+        obs.reset()
+        report = ProChecker.from_config(AnalysisConfig(
+            "srsue", jobs=1, property_ids=["SEC-01", "SEC-37"])).analyze()
+        root = _analyze_root()
+        (verify,) = root.find("pipeline.verify")
+        assert report.verification_seconds == verify.duration
+        assert report.verification_seconds <= report.elapsed_seconds \
+            <= root.duration
+
+    def test_batch_attributes_time_per_implementation(self):
+        obs.reset()
+        reports = analyze_many(IMPLEMENTATIONS, jobs=1)
+        root = _analyze_root()
+        (verify,) = root.find("pipeline.verify")
+        elapsed = [reports[i].elapsed_seconds for i in IMPLEMENTATIONS]
+        assert len(set(elapsed)) == len(IMPLEMENTATIONS)
+        assert sum(elapsed) <= root.duration
+        assert sum(reports[i].verification_seconds
+                   for i in IMPLEMENTATIONS) \
+            == pytest.approx(verify.duration)
+        for implementation in IMPLEMENTATIONS:
+            report = reports[implementation]
+            assert 0 < report.verification_seconds \
+                < report.elapsed_seconds
+            # the runtime block stays batch-wide
+            assert report.stats.runtime["elapsed_seconds"] \
+                == root.duration
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +240,6 @@ class TestExtractionCache:
         again = extraction_cache.get("srsue", subset)
         assert again is custom
         assert extraction_cache.stats()["conformance_runs"] == 2
-
-    def test_cache_opt_out(self):
-        extraction_cache.clear()
-        config = AnalysisConfig("reference", use_extraction_cache=False)
-        checker = ProChecker.from_config(config)
-        checker.extract()
-        assert extraction_cache.stats()["conformance_runs"] == 0
 
 
 class TestExtractionCacheConcurrency:
