@@ -7,7 +7,8 @@ Layers:
 - :mod:`repro.mc.buchi` — GPVW tableau LTL→Büchi translation, memoised
   per normalised formula (alpha-renamed atoms, canonical operators);
 - :mod:`repro.mc.model` — guarded-command transition systems (SMV
-  stand-in) with content fingerprints;
+  stand-in) with content fingerprints, each compiled on first expansion
+  into one generated successor function;
 - :mod:`repro.mc.graph` — dense-integer interning of reachable state
   graphs (shared successor expansion + literal truth columns);
 - :mod:`repro.mc.checker` — invariant BFS and on-the-fly nested-DFS

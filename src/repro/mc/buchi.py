@@ -153,14 +153,14 @@ class BuchiAutomaton:
     accepting: FrozenSet[int]
 
     def state_satisfies(self, buchi_state: int, model_state) -> bool:
-        """Does ``model_state`` satisfy the entry label of ``buchi_state``?"""
-        try:
-            checks = self._compiled_labels
-        except AttributeError:
-            checks = self._compiled_labels = {
-                state: tuple(literal.compile() for literal in literals)
-                for state, literals in self.labels.items()}
-        return all(check(model_state) for check in checks[buchi_state])
+        """Does ``model_state`` satisfy the entry label of ``buchi_state``?
+
+        Dict-state evaluation for the materialised reference engine; the
+        production search evaluates labels through the compiled literal
+        columns of :class:`~repro.mc.graph.StateGraph`.
+        """
+        return all(literal.evaluate(model_state)
+                   for literal in self.labels[buchi_state])
 
     def successors(self, buchi_state: int) -> Tuple[int, ...]:
         return self.transitions.get(buchi_state, ())

@@ -28,7 +28,10 @@ Counter semantics (all deterministic, hence width-invariant across
 ``--jobs``): ``mc.states_explored`` counts distinct *model* states the
 search visited, ``mc.product_states`` counts *visited* product nodes
 (not materialised ones), ``mc.peak_frontier`` the high-water mark of the
-search frontier (outer + nested DFS stack, or the BFS queue).
+search frontier (outer + nested DFS stack, or the BFS queue).  The
+registry-only ``mc.states_expanded`` counts states whose successors a
+check computed for the first time; it depends on which earlier checks
+shared the model's graph, so it stays out of the per-property roll-up.
 """
 
 from __future__ import annotations
@@ -58,13 +61,15 @@ def _check_invariant(model: Model, invariant: Expr,
     model.validate_expression(invariant)
     with obs.span("mc.check", property=name, mode="invariant") as span:
         graph = model.graph()
-        holds = invariant.compile()
+        expanded = graph.expanded
+        holds = model.predicate(invariant)
+        key_of = graph.key_of
         root = graph.initial
         parents: Dict[int, Optional[Tuple[int, str]]] = {root: None}
         queue = deque([root])
         peak_frontier = 1
         violating: Optional[int] = None
-        if not holds(graph.state(root)):
+        if not holds(key_of(root)):
             violating = root
         while queue and violating is None:
             sid = queue.popleft()
@@ -72,7 +77,7 @@ def _check_invariant(model: Model, invariant: Expr,
                 if successor in parents:
                     continue
                 parents[successor] = (sid, label)
-                if not holds(graph.state(successor)):
+                if not holds(key_of(successor)):
                     violating = successor
                     break
                 queue.append(successor)
@@ -82,6 +87,7 @@ def _check_invariant(model: Model, invariant: Expr,
         obs.inc("mc.checks")
         obs.inc("mc.states_explored", len(parents))
         obs.inc("mc.peak_frontier", peak_frontier)
+        obs.count("mc.states_expanded", graph.expanded - expanded)
         trace = (None if violating is None
                  else _sid_path_to_trace(graph, parents, violating))
     obs.observe("mc.check_seconds", span.duration)
@@ -99,7 +105,7 @@ def _sid_path_to_trace(graph: StateGraph, parents, sid: int) -> Trace:
         chain.append((cursor, label))
         cursor = predecessor
     chain.reverse()
-    trace = Trace(initial_state=dict(graph.state(cursor)))
+    trace = Trace(initial_state=graph.state(cursor))
     for state_sid, label in chain:
         trace.steps.append(Step(label, graph.state(state_sid)))
     return trace
@@ -281,8 +287,7 @@ class _OnTheFlySearch:
         graph = self.graph
         nq = self.nq
         anchor_index = self._position[anchor]
-        trace = Trace(
-            initial_state=dict(graph.state(blue_stack[0][0] // nq)))
+        trace = Trace(initial_state=graph.state(blue_stack[0][0] // nq))
         for node, label, _ in blue_stack[1:anchor_index + 1]:
             trace.steps.append(Step(label, graph.state(node // nq)))
         trace.loop_start = len(trace.steps)
@@ -299,6 +304,7 @@ def _check_ltl_on_the_fly(model: Model, formula: Formula,
     with obs.span("mc.check", property=name, mode="ltl") as span:
         automaton = ltl_to_buchi(formula.negate())
         graph = model.graph()
+        expanded = graph.expanded
         search = _OnTheFlySearch(graph, automaton)
         trace = search.run()
 
@@ -310,6 +316,7 @@ def _check_ltl_on_the_fly(model: Model, formula: Formula,
         obs.inc("mc.buchi_states", len(automaton.states))
         obs.inc("mc.peak_frontier", search.peak_frontier)
         obs.gauge_max("mc.max_product_states", len(search.seen))
+        obs.count("mc.states_expanded", graph.expanded - expanded)
 
         result = CheckResult(
             name, holds=trace is None,

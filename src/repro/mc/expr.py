@@ -3,7 +3,9 @@
 The model checker (our NuXmv substitute) represents a system state as a
 mapping from variable names to values drawn from small finite domains
 (enum labels, bounded integers, booleans).  Guards of transition commands
-and atomic propositions of LTL formulas are expressions from this module.
+and atomic propositions of LTL formulas are expressions from this module;
+:func:`emit` spells one as Python source for the model compiler
+(:mod:`repro.mc.model`).
 
 A small concrete syntax is provided so properties read like the paper's,
 e.g.::
@@ -22,11 +24,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Set, Tuple, Union
+from typing import Callable, Iterable, Mapping, Optional, Set, Tuple, Union
 
 Value = Union[str, int, bool]
 State = Mapping[str, Value]
-CompiledExpr = Callable[[State], bool]
 
 
 class ExprError(Exception):
@@ -38,18 +39,6 @@ class Expr:
 
     def evaluate(self, state: State) -> bool:
         raise NotImplementedError
-
-    def compile(self) -> CompiledExpr:
-        """A fast closure equivalent to :meth:`evaluate`.
-
-        Compiled expressions are the model checker's hot path: they skip
-        the per-node dispatch and diagnostics of :meth:`evaluate` and
-        assume a well-formed state (every referenced variable present,
-        domains comparable) — which the checker guarantees via
-        :meth:`repro.mc.model.Model.validate_expression`.  Semantics on
-        well-formed states are identical to :meth:`evaluate`.
-        """
-        return self.evaluate
 
     def variables(self) -> Set[str]:
         raise NotImplementedError
@@ -76,10 +65,6 @@ class Const(Expr):
 
     def evaluate(self, state: State) -> bool:
         return self.value
-
-    def compile(self) -> CompiledExpr:
-        value = self.value
-        return lambda state: value
 
     def variables(self) -> Set[str]:
         return set()
@@ -131,16 +116,6 @@ class Compare(Expr):
                 f"incomparable values {left_value!r} {self.op} "
                 f"{right_value!r}") from exc
 
-    def compile(self) -> CompiledExpr:
-        left, right, op = self.left, self.right, _OPS[self.op]
-        if self.right_is_var:
-            return lambda state: op(state[left], state[right])
-        if self.op == "=":
-            return lambda state: state[left] == right
-        if self.op == "!=":
-            return lambda state: state[left] != right
-        return lambda state: op(state[left], right)
-
     def variables(self) -> Set[str]:
         names = {self.left}
         if self.right_is_var:
@@ -157,10 +132,6 @@ class Not(Expr):
 
     def evaluate(self, state: State) -> bool:
         return not self.operand.evaluate(state)
-
-    def compile(self) -> CompiledExpr:
-        operand = self.operand.compile()
-        return lambda state: not operand(state)
 
     def variables(self) -> Set[str]:
         return self.operand.variables()
@@ -196,13 +167,6 @@ class And(_NaryExpr):
     def evaluate(self, state: State) -> bool:
         return all(operand.evaluate(state) for operand in self.operands)
 
-    def compile(self) -> CompiledExpr:
-        compiled = tuple(operand.compile() for operand in self.operands)
-        if len(compiled) == 2:
-            first, second = compiled
-            return lambda state: first(state) and second(state)
-        return lambda state: all(fn(state) for fn in compiled)
-
 
 @dataclass(frozen=True)
 class Or(_NaryExpr):
@@ -215,12 +179,45 @@ class Or(_NaryExpr):
     def evaluate(self, state: State) -> bool:
         return any(operand.evaluate(state) for operand in self.operands)
 
-    def compile(self) -> CompiledExpr:
-        compiled = tuple(operand.compile() for operand in self.operands)
-        if len(compiled) == 2:
-            first, second = compiled
-            return lambda state: first(state) or second(state)
-        return lambda state: any(fn(state) for fn in compiled)
+
+#: Python spelling of each comparison operator, for generated source.
+_PY_OPS = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">",
+           ">=": ">="}
+
+
+def emit(expr: Expr, slot: Callable[[str], str],
+         const: Callable[[Value], str],
+         hoisted: Callable[[Expr], Optional[str]] = lambda expr: None
+         ) -> str:
+    """Python source of ``expr``, for the model compiler.
+
+    ``slot(name)`` spells a variable's value and ``const(value)`` a
+    literal; the caller routes literals through a constant namespace, so
+    no model-supplied string is ever spliced into source.
+    ``hoisted(node)`` names the local already holding a sub-expression's
+    value, or returns ``None``.  On well-formed states (every variable
+    present, compared values comparable) the emitted expression is truthy
+    exactly when :meth:`Expr.evaluate` is.
+    """
+    local = hoisted(expr)
+    if local is not None:
+        return local
+    if isinstance(expr, Const):
+        return const(expr.value)
+    if isinstance(expr, Compare):
+        right = (slot(str(expr.right)) if expr.right_is_var
+                 else const(expr.right))
+        return f"{slot(expr.left)} {_PY_OPS[expr.op]} {right}"
+    if isinstance(expr, Not):
+        return f"not ({emit(expr.operand, slot, const, hoisted)})"
+    if isinstance(expr, (And, Or)):
+        if not expr.operands:
+            return "True" if isinstance(expr, And) else "False"
+        joiner = " and " if isinstance(expr, And) else " or "
+        return joiner.join(f"({emit(operand, slot, const, hoisted)})"
+                           for operand in expr.operands)
+    raise ExprError(
+        f"cannot compile expression node {type(expr).__name__}")
 
 
 def var_equals(name: str, value: Value) -> Compare:

@@ -1,21 +1,22 @@
 """Dense-integer interning of a model's reachable state graph.
 
-The explicit-state checker used to pass hashable state *tuples* around
-and re-evaluate Büchi entry labels against freshly materialised state
-dicts on every product edge.  :class:`StateGraph` replaces both costs
-with integer ids:
+:class:`StateGraph` is the checker's only view of a model, and it holds
+no state dicts:
 
 - every reachable state key is interned once into a dense ``int`` id,
   so product nodes become small ints (``sid * |Q| + q``) instead of
   ``(tuple, int)`` pairs;
-- successor lists are expanded lazily through
-  :meth:`~repro.mc.model.Model.successor_items` and cached as
+- successor lists come from the model's compiled successor function
+  (:meth:`~repro.mc.model.Model.successor_items`) and are cached as
   ``(label, successor id)`` tuples — built at most once per model no
   matter how many properties or CEGAR iterations explore it;
-- atomic predicates are evaluated at most once per ``(literal, state)``
-  via per-literal truth columns (one growable list per literal, indexed
-  by state id), which is what makes on-the-fly product exploration
-  cheaper than the old per-edge re-evaluation.
+- atomic predicates are compiled to key-tuple tests
+  (:meth:`~repro.mc.model.Model.predicate`) and evaluated at most once
+  per ``(literal, state)`` via per-literal truth columns (one growable
+  list per literal, indexed by state id).
+
+State dicts are built only on request (:meth:`StateGraph.state`), when a
+counterexample trace is assembled.
 
 A graph is owned by its :class:`~repro.mc.model.Model` (see
 ``Model.graph()``) so all checks against the same instrumented model
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
+from .expr import Not
 from .ltl import Atom
 
 Key = Tuple
@@ -35,18 +37,21 @@ Key = Tuple
 class StateGraph:
     """Lazily expanded, integer-interned view of a model's state graph."""
 
-    __slots__ = ("model", "_keys", "_index", "_states", "_succ",
-                 "_columns", "initial")
+    __slots__ = ("model", "_keys", "_index", "_succ", "_columns",
+                 "expanded", "initial")
 
     def __init__(self, model):
         self.model = model
         self._keys: List[Key] = []
         self._index: Dict[Key, int] = {}
-        self._states: List[Dict] = []
         #: per-state successor tuples, ``None`` until first expansion
         self._succ: List[Optional[Tuple[Tuple[str, int], ...]]] = []
-        #: literal -> truth column (list indexed by state id, lazily filled)
-        self._columns: Dict[Atom, List[Optional[bool]]] = {}
+        #: literal -> (truth column indexed by state id, lazily filled;
+        #: its compiled key-tuple predicate)
+        self._columns: Dict[Atom, Tuple[List[Optional[bool]],
+                                        Callable[[Key], bool]]] = {}
+        #: states whose successor sets have been computed
+        self.expanded = 0
         self.initial = self.intern(model.key(model.initial_state()))
 
     # ------------------------------------------------------------------
@@ -57,7 +62,6 @@ class StateGraph:
             sid = len(self._keys)
             self._index[key] = sid
             self._keys.append(key)
-            self._states.append(self.model.unkey(key))
             self._succ.append(None)
         return sid
 
@@ -65,8 +69,8 @@ class StateGraph:
         return self._keys[sid]
 
     def state(self, sid: int) -> Dict:
-        """The state dict for ``sid`` (shared — callers must not mutate)."""
-        return self._states[sid]
+        """A fresh state dict for ``sid`` (for counterexample traces)."""
+        return self.model.unkey(self._keys[sid])
 
     def __len__(self) -> int:
         """States interned so far (== states touched by any exploration)."""
@@ -83,16 +87,14 @@ class StateGraph:
         """
         cached = self._succ[sid]
         if cached is None:
+            intern = self.intern
             cached = tuple(
-                (label, self.intern(successor_key))
+                (label, intern(successor_key))
                 for label, successor_key in
                 self.model.successor_items(self._keys[sid]))
             self._succ[sid] = cached
+            self.expanded += 1
         return cached
-
-    def expanded_count(self) -> int:
-        """States whose successor sets have been computed."""
-        return sum(1 for entry in self._succ if entry is not None)
 
     # ------------------------------------------------------------------
     def literal_evaluator(self, literal: Atom) -> Callable[[int], bool]:
@@ -103,18 +105,20 @@ class StateGraph:
         properties (or in many Büchi states of one automaton) is
         evaluated at most once per reachable state.
         """
-        column = self._columns.get(literal)
-        if column is None:
-            column = self._columns[literal] = []
-        compiled = literal.compile()
-        states = self._states
+        entry = self._columns.get(literal)
+        if entry is None:
+            expr = Not(literal.expr) if literal.negated else literal.expr
+            entry = self._columns[literal] = ([],
+                                              self.model.predicate(expr))
+        column, holds = entry
+        keys = self._keys
 
         def evaluate(sid: int) -> bool:
             if sid >= len(column):
                 column.extend([None] * (sid + 1 - len(column)))
             value = column[sid]
             if value is None:
-                value = column[sid] = compiled(states[sid])
+                value = column[sid] = holds(keys[sid])
             return value
 
         return evaluate

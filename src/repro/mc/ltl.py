@@ -50,13 +50,6 @@ class Atom(Formula):
         value = self.expr.evaluate(state)
         return (not value) if self.negated else value
 
-    def compile(self):
-        """Fast closure form (see :meth:`repro.mc.expr.Expr.compile`)."""
-        fn = self.expr.compile()
-        if self.negated:
-            return lambda state: not fn(state)
-        return fn
-
     def negate(self) -> "Formula":
         return Atom(self.expr, not self.negated)
 

@@ -135,6 +135,8 @@ class AnalysisService:
         self.registry = JobRegistry()
         self._queue: "queue.Queue[Optional[str]]" = queue.Queue()
         self._threads: List[threading.Thread] = []
+        # Lock order: a record lock may be held while taking
+        # _fleet_lock (watchdog timeouts), never the reverse.
         self._fleet_lock = threading.Lock()
         self._abandoned: Set[str] = set()
         self._leaked: List[str] = []

@@ -22,7 +22,13 @@ The scan interval bounds the detection margin: a job is marked
 ``TIMEOUT`` no later than ``deadline + interval`` after it started.
 All state transitions go through the record's own lock, so a watchdog
 marking ``TIMEOUT`` and a worker finishing late can never interleave
-into a corrupt status.
+into a corrupt status.  The timeout is counted and the worker abandoned
+(and replaced) *before* the status turns ``TIMEOUT``, so an observer of
+the terminal status never reads stale counters.
+
+Lock order: a record's ``lock`` may be held while taking the service's
+``_fleet_lock`` (the abandon-and-respawn above), never the reverse —
+no code takes a record lock while holding ``_fleet_lock``.
 """
 
 from __future__ import annotations
@@ -97,16 +103,20 @@ class Watchdog:
             with record.lock:
                 if record.status is not JobStatus.RUNNING:
                     continue  # finished between list() and lock
-                record.status = JobStatus.TIMEOUT
+                # Account first, publish last: whoever sees TIMEOUT also
+                # sees the count and the replacement worker.  Takes
+                # _fleet_lock under record.lock (see the lock order in
+                # the module docstring).
+                obs.count("serve.jobs_timed_out")
+                self.service._abandon_worker(record.worker)
                 record.error = (
                     f"JobDeadlineExceeded: job {record.job_id} exceeded "
                     f"its {deadline:.3f}s deadline "
                     f"(running {current - record.started_at:.3f}s on "
                     f"{record.worker or 'unknown worker'})")
                 record.finished_at = current
+                record.status = JobStatus.TIMEOUT
             timed_out += 1
-            obs.count("serve.jobs_timed_out")
-            self.service._abandon_worker(record.worker)
             self.service._journal_finish(record)
         return timed_out
 

@@ -5,6 +5,8 @@ import pytest
 from repro.mc.model import (Choice, Model, ModelError, Plus, Ref, Variable)
 from repro.mc.expr import TRUE, parse_expr
 
+from . import reference_model
+
 
 def make_model():
     return Model(
@@ -119,5 +121,8 @@ class TestIntrospection:
         model = make_model()
         model.add_command("on0", parse_expr("a = 0", ["a"]), {"a": 1})
         model.add_command("on1", parse_expr("a = 1", ["a"]), {"a": 0})
-        enabled = model.enabled_commands(model.initial_state())
+        initial = model.initial_state()
+        enabled = reference_model.enabled_commands(model, initial)
         assert [command.label for command in enabled] == ["on0"]
+        assert model.successor_items(model.key(initial)) == \
+            reference_model.successor_items(model, model.key(initial))

@@ -9,7 +9,7 @@ import pytest
 
 from repro import faults, obs
 from repro.core import AnalysisConfig
-from repro.serve import (AnalysisService, JobJournal, JobStatus,
+from repro.serve import (AnalysisService, JobJournal, JobRecord, JobStatus,
                          QueueFullError, ServeClient, ServeClientError,
                          ServiceDrainingError, Watchdog, create_server)
 from repro.store import ResultStore
@@ -302,6 +302,41 @@ class TestWatchdog:
         assert "1.000s deadline" in record.error
         # Terminal: a second scan finds nothing to do.
         assert watchdog.scan(now=1002.0) == 0
+
+    def test_timeout_is_accounted_before_it_is_published(self, tmp_path):
+        service = AnalysisService(ResultStore(tmp_path / "store"),
+                                  workers=1)
+        service.start()
+        try:
+            with service._fleet_lock:
+                worker = service._threads[0].name
+            # Registered but never queued: the idle worker cannot pick
+            # it up, so only the scan below moves it.
+            record = JobRecord(job_id=service.registry.allocate_id(),
+                               digest="d" * 64, implementation="srsue",
+                               payload=_config(), deadline_seconds=1.0,
+                               status=JobStatus.RUNNING, started_at=100.0,
+                               worker=worker)
+            service.registry.add(record)
+            before = obs.metrics().snapshot()
+            seen = []
+
+            class Spy(JobRecord):
+                def __setattr__(self, name, value):
+                    if name == "status" and value is JobStatus.TIMEOUT:
+                        seen.append(obs.metrics().snapshot())
+                    super().__setattr__(name, value)
+
+            record.__class__ = Spy
+            assert Watchdog(service).scan(now=102.0) == 1
+            assert record.status is JobStatus.TIMEOUT
+            at_publish, = seen
+            assert _counter_delta(before, at_publish,
+                                  "serve.jobs_timed_out") == 1
+            assert _counter_delta(before, at_publish,
+                                  "serve.workers_respawned") == 1
+        finally:
+            service.stop()
 
     def test_late_completion_cannot_resurrect_a_timeout(self, tmp_path):
         service = AnalysisService(ResultStore(tmp_path / "store"),
