@@ -512,9 +512,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         except faults.FaultSpecError as exc:
             print(f"bad --inject-fault: {exc}", file=sys.stderr)
             return 2
-        # Serve workers are threads in this process, so the plan is
-        # installed here rather than shipped through a job config
-        # (fault-plan submissions are rejected by the service).
+        # Installed here, before start() forks the workers: the plan
+        # reaches them through the fork (fault-plan submissions are
+        # rejected by the service).
         faults.install(plan)
         print(f"fault plan installed: {plan.describe()}", file=sys.stderr)
     store = ResultStore(args.store_dir)
@@ -750,7 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TCP port; 0 picks an ephemeral port "
                             "(default 8373)")
     serve.add_argument("--workers", "-w", type=int, default=2, metavar="K",
-                       help="analysis worker threads (default 2)")
+                       help="analysis worker processes (default 2)")
     serve.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
                        help="engine process-pool width per job when the "
                             "job does not specify one (default 1)")
@@ -768,10 +768,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "queued (default: unbounded)")
     serve.add_argument("--deadline", type=float, default=None,
                        metavar="SECONDS",
-                       help="default per-job wall-clock deadline; the "
-                            "watchdog marks over-deadline jobs TIMEOUT "
-                            "and respawns their workers (jobs may carry "
-                            "their own deadline_seconds)")
+                       help="default per-job wall-clock deadline; an "
+                            "over-deadline job is marked TIMEOUT and its "
+                            "worker process killed and replaced (jobs "
+                            "may carry their own deadline_seconds)")
     serve.add_argument("--drain-grace", type=float, default=30.0,
                        metavar="SECONDS",
                        help="on SIGTERM/SIGINT, wait this long for "
@@ -780,7 +780,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--inject-fault", action="append", default=[],
                        metavar="SITE[@KEY]:KIND[:NTH[:SCOPE]]",
                        help="debug: install a deterministic fault in "
-                            "the service process, e.g. "
+                            "the service and its workers, e.g. "
                             "journal.append@start:raise:1:all "
                             "(repeatable)")
     serve.add_argument("--verbose", action="store_true",

@@ -23,7 +23,8 @@ dependency-free layer:
   normal operation.
 
 Scoping: a spec with ``scope="worker"`` (the default) only fires inside
-pool worker processes, never in the main process — that is what lets the
+worker processes (engine pool workers and ``repro serve`` workers), never
+in the main process — that is what lets the
 engine's in-process serial fallback *complete* a group whose worker
 attempts persistently crashed or hung.  ``scope="all"`` fires
 everywhere, which exercises the catch-at-the-group-boundary path that
@@ -177,6 +178,17 @@ _lock = threading.Lock()
 _plan: Optional[FaultPlan] = None
 #: per-spec call counters, keyed by the spec's position in the plan
 _counts: Dict[int, int] = {}
+
+
+def _new_lock_in_child() -> None:
+    # A fork copies _lock as it is, but only the forking thread: a copy
+    # held by any other thread would never be released in the child.
+    global _lock
+    _lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_lock_in_child)
 
 
 def install(plan: Optional[FaultPlan]) -> None:

@@ -30,6 +30,7 @@ The module-level functions operate on one process-global
 
 from __future__ import annotations
 
+import os
 import threading
 from typing import Dict, List, Optional, Sequence
 
@@ -62,6 +63,17 @@ class Observatory:
 
 _lock = threading.Lock()
 _observatory = Observatory()
+
+
+def _new_lock_in_child() -> None:
+    # A fork copies _lock as it is, but only the forking thread: a copy
+    # held by any other thread would never be released in the child.
+    global _lock
+    _lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_lock_in_child)
 
 
 def get_observatory() -> Observatory:

@@ -30,8 +30,9 @@ from typing import Dict, Optional, Tuple
 #: 1.2 (additive): service resilience — the ``timeout`` job status and
 #: ``deadline_seconds`` on job records, journal entries
 #: (:mod:`repro.serve.journal`), and the ``live``/``ready``/
-#: ``draining``/``queue_full``/``leaked_threads``/``journal`` fields
-#: in the ``/v1/health`` body.
+#: ``draining``/``queue_full``/``journal`` fields in the ``/v1/health``
+#: body.  The body's ``leaked_threads`` field went with the thread
+#: fleet (serve jobs run in worker processes); no reader parsed it.
 SCHEMA_VERSION = "1.2"
 
 #: The field name carrying the version in every payload.

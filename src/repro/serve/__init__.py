@@ -3,9 +3,9 @@
 A long-running mode (``repro serve --port N --workers K``) that turns
 the one-shot pipeline into idempotent, addressable, concurrent jobs:
 
-- :class:`AnalysisService` — thread-safe job queue + worker fleet, with
-  an O(1) short-circuit through the content-addressed result store
-  (:mod:`repro.store`) for identical resubmissions;
+- :class:`AnalysisService` — thread-safe job queue + a fleet of worker
+  processes, with an O(1) short-circuit through the content-addressed
+  result store (:mod:`repro.store`) for identical resubmissions;
 - :mod:`repro.serve.http` — the versioned ``/v1`` HTTP JSON API
   (stdlib ``ThreadingHTTPServer``, no new dependencies);
 - :class:`ServeClient` — a stdlib client for scripts, benches, tests.
@@ -20,8 +20,8 @@ self-healing:
 - :class:`JobJournal` — a write-ahead JSONL journal
   (``repro serve --journal DIR``); a restarted service replays every
   unfinished job deterministically;
-- :class:`Watchdog` — per-job deadlines (``TIMEOUT`` status) and
-  worker-fleet supervision (dead/hung workers are respawned);
+- per-job deadlines (``TIMEOUT`` status): an over-deadline job's
+  worker process is killed and replaced, as is a worker that crashes;
 - drain lifecycle (SIGTERM/SIGINT → finish in-flight, journal the
   rest) with a liveness/readiness health split;
 - bounded-queue backpressure (``--max-queue`` → HTTP 429 +
@@ -36,7 +36,6 @@ from .jobs import (KIND_ANALYSIS, KIND_FUZZ, TERMINAL_STATUSES, JobRecord,
 from .journal import JobJournal, JournalError, JournalReplay
 from .service import (AnalysisService, QueueFullError, ServiceDrainingError,
                       ServiceError)
-from .watchdog import Watchdog
 
 __all__ = [
     "AnalysisService", "JobJournal", "JobRecord", "JobRegistry",
@@ -45,5 +44,5 @@ __all__ = [
     "RETRY_NONE", "ServeClient", "ServeClientError",
     "ServiceDrainingError", "ServiceError", "ServiceHandler",
     "ServiceHTTPServer", "TERMINAL_JOB_STATUSES", "TERMINAL_STATUSES",
-    "Watchdog", "create_server",
+    "create_server",
 ]

@@ -8,8 +8,9 @@ object (the contract is documented in ``docs/api.md``):
   ``202`` when queued, ``200`` when served from the result store
   (fuzz campaigns are store-exempt, so they always queue);
 - ``GET /v1/jobs`` — list jobs (``?status=…&implementation=…``);
-- ``GET /v1/jobs/{id}`` — one job record + live progress (a finished
-  fuzz job carries its campaign summary under ``result``);
+- ``GET /v1/jobs/{id}`` — one job record + progress (elapsed time;
+  the job's counters once it finishes; a finished fuzz job carries
+  its campaign summary under ``result``);
 - ``GET /v1/reports/{digest}`` — a stored analysis report;
 - ``GET /v1/health`` — *liveness*: always ``200`` while the process
   answers; the body carries ``ready``/``draining`` and the

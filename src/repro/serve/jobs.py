@@ -17,9 +17,8 @@ class JobStatus(str, enum.Enum):
     ``QUEUED → RUNNING → DONE | FAILED | TIMEOUT``; a store hit goes
     straight to ``DONE`` at submission time (the O(1) path, analysis
     jobs only — fuzz campaigns are store-exempt).  ``TIMEOUT`` is
-    assigned by the watchdog when a running job exceeds its deadline;
-    like ``DONE``/``FAILED`` it is terminal — a worker returning late
-    from a timed-out job must not overwrite it.
+    assigned when a running job exceeds its deadline (its worker
+    process is killed); like ``DONE``/``FAILED`` it is terminal.
     """
 
     QUEUED = "queued"
@@ -29,8 +28,7 @@ class JobStatus(str, enum.Enum):
     TIMEOUT = "timeout"
 
 
-#: Statuses a job cannot leave (the watchdog and workers both check
-#: against this set under the record lock before finalising).
+#: Statuses a job cannot leave.
 TERMINAL_STATUSES = frozenset(
     (JobStatus.DONE, JobStatus.FAILED, JobStatus.TIMEOUT))
 
@@ -63,19 +61,16 @@ class JobRecord:
     #: scheduling knob like ``jobs`` — deliberately excluded from the
     #: store's job identity (it cannot change what a verdict *is*).
     deadline_seconds: Optional[float] = None
-    #: worker-thread name that executed the job ("" for submit-time hits)
+    #: worker process that executed the job, ``"serve-worker-N (pid P)"``
+    #: ("" for submit-time hits)
     worker: str = ""
-    #: per-job metrics-registry delta (engine.*/mc.*/fuzz.* counters);
-    #: empty for store hits — that emptiness is the "zero work" hook
+    #: the job's own metrics-registry drain (engine.*/mc.*/fuzz.*
+    #: counters), filed when it finishes; empty for store hits — that
+    #: emptiness is the "zero work" hook
     counters: Dict[str, float] = field(default_factory=dict)
-    #: registry snapshot at job start (progress baseline; not serialized)
-    start_snapshot: Optional[Dict] = None
     #: inline result summary for jobs whose output is not store-backed
     #: (fuzz campaigns file their ``FuzzResult.summary()`` here)
     result: Optional[Dict] = None
-    #: guards status finalisation (watchdog TIMEOUT vs worker finish)
-    lock: threading.Lock = field(default_factory=threading.Lock,
-                                 repr=False, compare=False)
 
     def elapsed_seconds(self, now: Optional[float] = None) -> float:
         if self.started_at is None:

@@ -1,10 +1,10 @@
-"""The scheduler: a durable job queue drained by a supervised worker fleet.
+"""The scheduler: a durable job queue drained by a fleet of worker processes.
 
 The split mirrors Klever's bridge/scheduler architecture: the HTTP layer
 (:mod:`repro.serve.http`) only translates requests, this module owns the
-queue, the worker fleet, the result-store short-circuit and — since the
-resilience layer — the write-ahead journal, the drain lifecycle, the
-deadline watchdog and queue admission control.
+queue, the worker fleet, the result-store short-circuit, the write-ahead
+journal, the drain lifecycle, per-job deadlines and queue admission
+control.
 
 Every job travels one of two paths:
 
@@ -13,18 +13,31 @@ Every job travels one of two paths:
   empty per-job counter delta.  No extraction, no model checking — the
   acceptance criterion "second identical submission consumes zero
   ``engine.*``/``mc.*`` work" is checked against exactly this emptiness.
-- **cold run** — a worker thread dequeues the job, re-checks the store
-  (an identical job submitted while the first was still running
-  coalesces into a hit here), then runs the full pipeline via
-  :meth:`ProChecker.from_config(...).analyze()
+- **cold run** — a fleet slot dequeues the job, re-checks the store (an
+  identical job submitted while the first was still running coalesces
+  into a hit here), then hands it to the slot's worker process, which
+  runs the full pipeline via :meth:`ProChecker.from_config(...).analyze()
   <repro.core.prochecker.ProChecker.analyze>` — inheriting the engine's
   process-pool fan-out, retry/timeout resilience and crash isolation —
-  and files the finished report.
+  and sends the report back to be filed in the store.
 
-A third path exists for ``"type": "fuzz"`` payloads: a long-running
-fuzz campaign (:mod:`repro.fuzz`) executed on a worker thread.
-Campaigns are **store-exempt** — they always run cold; their
-``FuzzResult.summary()`` is filed inline on the job record.
+``"type": "fuzz"`` payloads take the same route: the worker runs the
+campaign (:mod:`repro.fuzz`) and sends back its ``FuzzResult.summary()``,
+which is filed inline on the job record.  Campaigns are
+**store-exempt** — they always run cold.
+
+The fleet: each slot is one long-lived worker process, forked with the
+engine's ``fork`` context and owned by exactly one parent thread.  The
+owner sends the job over a pipe and waits for the reply until the job's
+deadline.  The reply carries the result plus a drain of the worker's own
+metrics registry; that drain becomes the record's ``counters`` and is
+merged into the service's registry, as the engine merges its pool
+workers' drains.  A worker runs one job at a time and nothing else, so
+per-job counters are exact even when jobs overlap; they appear when the
+job finishes.  Workers are not daemonic (a job may fan out over the
+engine's process pool inside its worker), lead their own process group
+(killing the group reclaims that pool too), and exit when the parent
+closes its end of the pipe — a SIGKILLed service leaves none behind.
 
 Resilience layer:
 
@@ -38,43 +51,42 @@ Resilience layer:
 - **drain** — :meth:`AnalysisService.drain` stops admission and
   dequeueing; in-flight jobs finish, queued jobs stay ``QUEUED`` (and
   journaled) for the next incarnation.  ``repro serve`` wires SIGTERM
-  and SIGINT to exactly this.
-- **deadlines + watchdog** (:mod:`repro.serve.watchdog`) — a running
-  job past its ``deadline_seconds`` is marked ``TIMEOUT``; its hung
-  worker is abandoned and a replacement spawned
-  (``serve.workers_respawned``), so capacity never decays.
+  and SIGINT to exactly this.  :meth:`AnalysisService.stop` is the hard
+  stop: it kills the workers and puts a running job back to ``QUEUED``.
+- **deadlines** — a job still running ``deadline_seconds`` after it
+  started is marked ``TIMEOUT``; its worker is killed and a fresh one
+  forked (``serve.workers_respawned``), so capacity never decays.  A
+  worker that dies mid-job (a crash, an ``exit`` fault) fails only that
+  job, whose error names the exit status, and is replaced the same way.
 - **backpressure** — with ``max_queue`` set, submissions beyond the
   queue bound raise :class:`QueueFullError`, which the HTTP layer maps
   to ``429`` + ``Retry-After``; :class:`~repro.serve.client.ServeClient`
   retries those with jittered exponential backoff.
 
-Per-job telemetry: the finished report's
-``stats.runtime["metrics"]["counters"]`` delta (which includes the
-PR 3 resilience counters ``engine.group_*``/``engine.pool_rebuilds``)
-is copied onto the job record; fuzz jobs file their registry delta
-(the ``fuzz.*`` work counters) the same way.  The metrics registry is
-process-wide, so with overlapping jobs a delta can attribute a
-neighbour's counters; it is exact whenever jobs do not overlap (and
-always exact about a store hit, whose delta is empty by construction).
+Fault injection: the ``serve.run_job`` site (keyed by implementation)
+trips inside the worker, so the default ``worker`` scope fires there;
+an installed plan reaches the workers through the fork, and each worker
+counts calls from zero.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import queue
+import signal
 import threading
 import time
-from typing import Dict, List, Optional, Set
+from multiprocessing import util
+from typing import Dict, List, Optional, Tuple
 
 from .. import faults, obs
-from ..core.engine import exception_chain
+from ..core.engine import VerificationEngine, exception_chain
 from ..core.prochecker import AnalysisConfig, ProChecker
 from ..fuzz import FuzzConfig, Fuzzer, campaign_digest
-from ..obs.metrics import diff_snapshots
 from ..store import ResultStore, job_digest, job_key
-from .jobs import (KIND_FUZZ, TERMINAL_STATUSES, JobRecord, JobRegistry,
-                   JobStatus)
+from .jobs import KIND_FUZZ, JobRecord, JobRegistry, JobStatus
 from .journal import JobJournal
-from .watchdog import Watchdog
 
 
 class ServiceError(Exception):
@@ -100,8 +112,82 @@ class ServiceDrainingError(ServiceError):
         self.retry_after_seconds = retry_after_seconds
 
 
+# ----------------------------------------------------------------------
+# Worker processes
+# ----------------------------------------------------------------------
+#: Serialises pipe creation and fork: a child forked by another thread
+#: between ``Pipe()`` and closing the parent's copy of the child end
+#: would hold that end open and hide the worker's death from the owner.
+_fork_lock = threading.Lock()
+
+
+def _run_in_worker(kind: str, payload: Dict) -> Tuple[bool, object]:
+    """One job, inside a worker: ``(ok, report payload | campaign
+    summary)`` or ``(False, exception chain)``."""
+    try:
+        faults.trip("serve.run_job", key=payload.get("implementation"))
+        if kind == KIND_FUZZ:
+            return True, Fuzzer(FuzzConfig.from_dict(payload)).run().summary()
+        config = AnalysisConfig.from_dict(payload)
+        return True, ProChecker.from_config(config).analyze().to_dict()
+    except Exception as exc:  # noqa: BLE001 - job isolation boundary
+        return False, exception_chain(exc)
+
+
+def _worker_main(conn, parent_end) -> None:
+    """Worker process body: run jobs off ``conn`` until the parent
+    closes its end of the pipe."""
+    parent_end.close()
+    obs.reset()
+    faults.reset_counters()
+    with contextlib.suppress(EOFError, BrokenPipeError):
+        while True:
+            kind, payload = conn.recv()
+            ok, result = _run_in_worker(kind, payload)
+            obs.drain_spans()
+            conn.send((ok, result, obs.metrics().drain()))
+
+
+def _kill(process) -> None:
+    """SIGKILL a worker and every process it forked (its engine pool)."""
+    with contextlib.suppress(ProcessLookupError):  # the group is gone
+        os.killpg(process.pid, signal.SIGKILL)
+
+
+def _reap(process, conn) -> None:
+    _kill(process)
+    process.join()
+    conn.close()
+
+
+class _Worker:
+    """One forked worker process and the parent's end of its pipe."""
+
+    def __init__(self, name: str):
+        context = VerificationEngine._mp_context()
+        with _fork_lock:
+            self.conn, child_end = context.Pipe()
+            self.process = context.Process(
+                target=_worker_main, args=(child_end, self.conn), name=name)
+            self.process.start()
+            # Its own process group, before it can fork an engine pool.
+            os.setpgid(self.process.pid, self.process.pid)
+            child_end.close()
+        self.name = f"{name} (pid {self.process.pid})"
+        #: Kill, reap and close; idempotent, and also run at interpreter
+        #: exit, before multiprocessing joins its non-daemonic children.
+        self.close = util.Finalize(self, _reap,
+                                   args=(self.process, self.conn),
+                                   exitpriority=0)
+
+    def kill(self) -> None:
+        """Kill from any thread; the owner reaps and closes."""
+        if self.process.exitcode is None:
+            _kill(self.process)
+
+
 class AnalysisService:
-    """Durable job queue + supervised worker fleet in front of the
+    """Durable job queue + worker-process fleet in front of the
     verification pipeline."""
 
     def __init__(self, store: ResultStore, workers: int = 2,
@@ -109,8 +195,6 @@ class AnalysisService:
                  journal: Optional[JobJournal] = None,
                  max_queue: Optional[int] = None,
                  default_deadline_seconds: Optional[float] = None,
-                 watchdog_interval_seconds: float = 0.25,
-                 join_timeout_seconds: float = 30.0,
                  retry_after_seconds: float = 1.0):
         """``workers`` concurrent jobs; each job's *internal* check-phase
         width defaults to ``default_engine_jobs`` when the submitted
@@ -129,19 +213,13 @@ class AnalysisService:
         self.journal = journal
         self.max_queue = max_queue
         self.default_deadline_seconds = default_deadline_seconds
-        self.watchdog_interval_seconds = watchdog_interval_seconds
-        self.join_timeout_seconds = join_timeout_seconds
         self.retry_after_seconds = retry_after_seconds
         self.registry = JobRegistry()
         self._queue: "queue.Queue[Optional[str]]" = queue.Queue()
-        self._threads: List[threading.Thread] = []
-        # Lock order: a record lock may be held while taking
-        # _fleet_lock (watchdog timeouts), never the reverse.
-        self._fleet_lock = threading.Lock()
-        self._abandoned: Set[str] = set()
-        self._leaked: List[str] = []
-        self._worker_seq = 0
-        self._watchdog: Optional[Watchdog] = None
+        #: slot index -> its current worker; only the slot's owner
+        #: thread replaces an entry
+        self._workers: List[_Worker] = []
+        self._owners: List[threading.Thread] = []
         self._started = False
         self._stopping = False
         self._draining = False
@@ -159,11 +237,15 @@ class AnalysisService:
         self._rebuild_queue()
         if self.journal is not None and not self._recovered:
             self._recover()
-        with self._fleet_lock:
-            while len(self._threads) < self.workers:
-                self._spawn_worker_locked()
-        self._watchdog = Watchdog(
-            self, interval_seconds=self.watchdog_interval_seconds).start()
+        self._workers = [_Worker(f"serve-worker-{index}")
+                         for index in range(self.workers)]
+        self._owners = [threading.Thread(target=self._owner_loop,
+                                         args=(index,),
+                                         name=f"serve-owner-{index}",
+                                         daemon=True)
+                        for index in range(self.workers)]
+        for owner in self._owners:
+            owner.start()
         return self
 
     def drain(self, wait: bool = True,
@@ -193,39 +275,25 @@ class AnalysisService:
             time.sleep(0.02)
         return True
 
-    def stop(self, wait: bool = True) -> None:
-        """Stop the fleet.  Queued jobs are left ``QUEUED`` (journaled —
-        a restart or a fresh :meth:`start` picks them back up); workers
-        exit after their current job.  Idempotent, and restartable:
-        ``stop()`` then ``start()`` spawns a fresh fleet over the same
-        registry and queue.
+    def stop(self) -> None:
+        """Hard stop: kill the workers and wait for their owners.
+
+        A running job goes back to ``QUEUED`` (its journal holds a start
+        without a finish, so a replay or the next :meth:`start` runs it
+        again); queued jobs stay ``QUEUED``.  :meth:`drain` is the
+        graceful path.  Idempotent, and restartable: ``stop()`` then
+        ``start()`` forks a fresh fleet over the same registry and queue.
         """
         if not self._started or self._stopping:
             return
         self._stopping = True
-        if self._watchdog is not None:
-            self._watchdog.stop()
-            self._watchdog = None
-        with self._fleet_lock:
-            threads = list(self._threads)
-        for _ in threads:
+        for _ in self._owners:
             self._queue.put(None)
-        if wait:
-            leaked = []
-            for thread in threads:
-                thread.join(timeout=self.join_timeout_seconds)
-                if thread.is_alive():
-                    leaked.append(thread.name)
-                    obs.count("serve.stop_leaked_threads")
-            if leaked:
-                # A leaked worker is stuck inside a job; write it off so
-                # it retires (instead of rejoining a restarted fleet)
-                # whenever its pipeline finally returns.
-                with self._fleet_lock:
-                    self._abandoned.update(leaked)
-            self._leaked = leaked
-        with self._fleet_lock:
-            self._threads = []
+        for worker in self._workers:
+            worker.kill()
+        for owner in self._owners:
+            owner.join()
+        self._owners, self._workers = [], []
         self._started = False
         self._stopping = False
 
@@ -391,24 +459,14 @@ class AnalysisService:
         return self.store.get(digest)
 
     def progress(self, job_id: str) -> Dict:
-        """Live progress of one job, from the :mod:`repro.obs` registry.
-
-        For a running job: elapsed wall-clock plus the counter delta
-        since the job started (process-wide attribution — see module
-        docstring).  For a finished job: the final per-job counters.
-        """
+        """Progress of one job: status and elapsed wall-clock.  Its
+        counters are the worker's exact registry drain, filed when the
+        job finishes (empty while it runs and for store hits)."""
         record = self.registry.get(job_id)
-        if record.status is JobStatus.RUNNING \
-                and record.start_snapshot is not None:
-            delta = diff_snapshots(record.start_snapshot,
-                                   obs.metrics().snapshot())
-            counters = delta.get("counters", {})
-        else:
-            counters = dict(record.counters)
         return {
             "status": record.status.value,
             "elapsed_seconds": record.elapsed_seconds(),
-            "counters": counters,
+            "counters": dict(record.counters),
         }
 
     def stats(self) -> Dict:
@@ -423,9 +481,8 @@ class AnalysisService:
         for record in self.registry.list():
             by_status[record.status.value] = \
                 by_status.get(record.status.value, 0) + 1
-        with self._fleet_lock:
-            alive = sum(1 for t in self._threads
-                        if t.is_alive() and t.name not in self._abandoned)
+        alive = sum(1 for worker in self._workers
+                    if worker.process.is_alive())
         queued = self._queue.qsize()
         return {
             "live": True,
@@ -437,7 +494,6 @@ class AnalysisService:
             "max_queue": self.max_queue,
             "queue_full": (self.max_queue is not None
                            and queued >= self.max_queue),
-            "leaked_threads": list(self._leaked),
             "jobs": by_status,
             "store": self.store.stats(),
             "journal": (self.journal.stats()
@@ -447,60 +503,13 @@ class AnalysisService:
     # ------------------------------------------------------------------
     # The worker fleet (the scheduler side)
     # ------------------------------------------------------------------
-    def _spawn_worker_locked(self) -> threading.Thread:
-        """Spawn one worker (caller holds ``_fleet_lock``)."""
-        index = self._worker_seq
-        self._worker_seq += 1
-        thread = threading.Thread(target=self._worker_loop,
-                                  name=f"serve-worker-{index}",
-                                  daemon=True)
-        thread.start()
-        self._threads.append(thread)
-        return thread
-
-    def _respawn_dead_workers(self) -> int:
-        """Keep the fleet at strength: replace dead and abandoned
-        workers (called from the watchdog scan).  Returns the number of
-        workers respawned."""
-        if not self._started or self._stopping:
-            return 0
-        respawned = 0
-        with self._fleet_lock:
-            self._threads = [t for t in self._threads if t.is_alive()]
-            effective = sum(1 for t in self._threads
-                            if t.name not in self._abandoned)
-            while effective < self.workers:
-                self._spawn_worker_locked()
-                effective += 1
-                respawned += 1
-                obs.count("serve.workers_respawned")
-        return respawned
-
-    def _abandon_worker(self, name: str) -> None:
-        """Write off a worker stuck past its job's deadline: it exits
-        the loop when its pipeline returns, and a replacement is
-        spawned immediately."""
-        if not name:
-            return
-        with self._fleet_lock:
-            self._abandoned.add(name)
-        self._respawn_dead_workers()
-
-    def _retired(self) -> bool:
-        """Whether the current worker has been written off (abandoned
-        after a deadline, or leaked at stop) and must exit its loop."""
-        name = threading.current_thread().name
-        with self._fleet_lock:
-            if name in self._abandoned:
-                self._abandoned.discard(name)
-                return True
-        return False
-
-    def _worker_loop(self) -> None:
+    def _owner_loop(self, index: int) -> None:
+        """Owner thread of slot ``index``: feed its worker one job at a
+        time until the stop sentinel, then reap the worker."""
         while True:
             job_id = self._queue.get()
             if job_id is None:
-                return
+                break
             if self._stopping or self._draining:
                 # Drain/stop: leave the job QUEUED (it is journaled — a
                 # restart replays it); keep cycling so the stop
@@ -509,30 +518,26 @@ class AnalysisService:
             record: Optional[JobRecord] = None
             try:
                 record = self.registry.get(job_id)
-                if record.kind == KIND_FUZZ:
-                    self._run_fuzz_job(record)
-                else:
-                    self._run_job(record)
-            except Exception as exc:  # noqa: BLE001 - worker must survive
+                self._run_job(record, index)
+            except Exception as exc:  # noqa: BLE001 - owner must survive
                 obs.count("serve.worker_loop_errors")
                 if record is not None:
                     # An exception outside the per-job isolation
-                    # boundary (e.g. dispatch) used to strand the
-                    # record QUEUED forever; fail it instead.
+                    # boundary (e.g. dispatch) must not strand the
+                    # record RUNNING or QUEUED forever; fail it instead.
                     self._strand_failed(record, exc)
-            if self._retired():
-                return
+        self._workers[index].close()
 
     def _strand_failed(self, record: JobRecord, exc: BaseException) -> None:
         record.error = exception_chain(exc)
-        self._finalize(record, JobStatus.FAILED)
+        self._finalize(record, JobStatus.FAILED, "serve.jobs_failed")
         obs.count("serve.jobs_stranded")
 
-    def _run_job(self, record: JobRecord) -> None:
+    def _run_job(self, record: JobRecord, index: int) -> None:
+        worker = self._workers[index]
         record.status = JobStatus.RUNNING
         record.started_at = time.time()
-        record.worker = threading.current_thread().name
-        record.start_snapshot = obs.metrics().snapshot()
+        record.worker = worker.name
         try:
             # Write-ahead: a failing start append fails this job (the
             # journal can no longer promise recovery for it) but never
@@ -540,81 +545,94 @@ class AnalysisService:
             self._journal_start(record)
             # In-flight coalescing: an identical job may have finished
             # (and filed its report) between submission and now.
-            if self.store.get(record.digest) is not None:
+            if record.kind != KIND_FUZZ \
+                    and self.store.get(record.digest) is not None:
                 obs.count("serve.store_hits")
                 self._finish_hit(record)
                 return
-            faults.trip("serve.run_job", key=record.implementation)
-            config = AnalysisConfig.from_dict(record.payload)
-            with obs.span("serve.job", job=record.job_id,
-                          implementation=record.implementation):
-                report = ProChecker.from_config(config).analyze()
-            payload = report.to_dict()
-            self.store.put(record.digest, payload,
-                           key=job_key(config))
-            counters: Dict[str, float] = {}
-            if report.stats is not None:
-                counters = dict(report.stats.runtime
-                                .get("metrics", {})
-                                .get("counters", {}))
-            self._finalize(record, JobStatus.DONE, counters=counters,
-                           done_counter="serve.jobs_completed")
-        except Exception as exc:  # noqa: BLE001 - job isolation boundary
-            record.error = exception_chain(exc)
-            self._finalize(record, JobStatus.FAILED)
-
-    def _run_fuzz_job(self, record: JobRecord) -> None:
-        """Run one fuzz campaign on this worker thread (no store)."""
-        record.status = JobStatus.RUNNING
-        record.started_at = time.time()
-        record.worker = threading.current_thread().name
-        record.start_snapshot = obs.metrics().snapshot()
-        try:
-            self._journal_start(record)
-            faults.trip("serve.run_job", key=record.implementation)
-            config = FuzzConfig.from_dict(record.payload)
-            with obs.span("serve.fuzz_job", job=record.job_id,
-                          implementation=record.implementation):
-                result = Fuzzer(config).run()
-            record.result = result.summary()
-            delta = diff_snapshots(record.start_snapshot,
-                                   obs.metrics().snapshot())
-            self._finalize(record, JobStatus.DONE,
-                           counters=dict(delta.get("counters", {})),
-                           done_counter="serve.fuzz_jobs_completed")
-        except Exception as exc:  # noqa: BLE001 - job isolation boundary
-            record.error = exception_chain(exc)
-            self._finalize(record, JobStatus.FAILED)
-
-    def _finalize(self, record: JobRecord, status: JobStatus,
-                  counters: Optional[Dict[str, float]] = None,
-                  done_counter: str = "serve.jobs_completed") -> None:
-        """Terminal transition, raced against the watchdog: a record
-        the watchdog already timed out stays ``TIMEOUT`` — the late
-        completion is counted, never resurrected."""
-        with record.lock:
-            if record.status in TERMINAL_STATUSES:
-                obs.count("serve.late_completions")
+            timeout = None
+            if record.deadline_seconds is not None:
+                timeout = max(0.0, record.started_at
+                              + record.deadline_seconds - time.time())
+            try:
+                worker.conn.send((record.kind, record.payload))
+                if not worker.conn.poll(timeout):
+                    self._time_out(record, index)
+                    return
+                ok, result, metrics = worker.conn.recv()
+            except (EOFError, OSError):
+                self._worker_died(record, index)
                 return
-            record.status = status
-            record.finished_at = time.time()
-            if counters is not None:
-                record.counters = counters
-        if status is JobStatus.DONE:
-            obs.count(done_counter)
-        else:
-            obs.count("serve.jobs_failed")
+            obs.metrics().merge(metrics)
+            counters = dict(metrics.get("counters", {}))
+            if not ok:
+                record.error = result
+                self._finalize(record, JobStatus.FAILED,
+                               "serve.jobs_failed", counters)
+            elif record.kind == KIND_FUZZ:
+                record.result = result
+                self._finalize(record, JobStatus.DONE,
+                               "serve.fuzz_jobs_completed", counters)
+            else:
+                config = AnalysisConfig.from_dict(record.payload)
+                self.store.put(record.digest, result, key=job_key(config))
+                self._finalize(record, JobStatus.DONE,
+                               "serve.jobs_completed", counters)
+        except Exception as exc:  # noqa: BLE001 - job isolation boundary
+            record.error = exception_chain(exc)
+            self._finalize(record, JobStatus.FAILED, "serve.jobs_failed")
+
+    def _time_out(self, record: JobRecord, index: int) -> None:
+        """The deadline passed: kill the worker, fork its replacement,
+        then publish ``TIMEOUT`` — whoever sees the status also sees
+        the counters and the fresh worker."""
+        running = time.time() - record.started_at
+        self._replace_worker(index)
+        record.error = (
+            f"JobDeadlineExceeded: job {record.job_id} exceeded its "
+            f"{record.deadline_seconds:.3f}s deadline (running "
+            f"{running:.3f}s on {record.worker}, which was killed)")
+        self._finalize(record, JobStatus.TIMEOUT, "serve.jobs_timed_out")
+
+    def _worker_died(self, record: JobRecord, index: int) -> None:
+        """The worker exited mid-job.  Under :meth:`stop` that was the
+        hard stop, and the job goes back to ``QUEUED``; otherwise only
+        this job fails and the worker is replaced."""
+        process = self._workers[index].process
+        self._replace_worker(index)
+        if self._stopping:
+            record.status = JobStatus.QUEUED
+            record.started_at = None
+            record.worker = ""
+            return
+        record.error = (f"WorkerExited: {record.worker} exited with "
+                        f"status {process.exitcode} while running job "
+                        f"{record.job_id}")
+        self._finalize(record, JobStatus.FAILED, "serve.jobs_failed")
+
+    def _replace_worker(self, index: int) -> None:
+        """Reap slot ``index``'s worker; fork a fresh one unless the
+        service is stopping."""
+        self._workers[index].close()
+        if not self._stopping:
+            self._workers[index] = _Worker(f"serve-worker-{index}")
+            obs.count("serve.workers_respawned")
+
+    def _finalize(self, record: JobRecord, status: JobStatus, counter: str,
+                  counters: Optional[Dict[str, float]] = None) -> None:
+        """Terminal transition: account first, publish the status last."""
+        record.finished_at = time.time()
+        if counters is not None:
+            record.counters = counters
+        obs.count(counter)
+        record.status = status
         self._journal_finish(record)
 
     def _finish_hit(self, record: JobRecord) -> None:
-        with record.lock:
-            if record.status in TERMINAL_STATUSES:
-                obs.count("serve.late_completions")
-                return
-            record.status = JobStatus.DONE
-            record.store_hit = True
-            record.counters = {}
-            record.finished_at = time.time()
+        record.store_hit = True
+        record.counters = {}
+        record.finished_at = time.time()
+        record.status = JobStatus.DONE
         self._journal_finish(record)
 
     # ------------------------------------------------------------------

@@ -1,7 +1,11 @@
-"""The service resilience layer: journal recovery, drain, watchdog
-deadlines, backpressure, and the client retry discipline."""
+"""The service resilience layer: journal recovery, drain, deadlines and
+worker processes, backpressure, and the client retry discipline."""
 
 import json
+import os
+import re
+import subprocess
+import sys
 import threading
 import time
 
@@ -11,7 +15,7 @@ from repro import faults, obs
 from repro.core import AnalysisConfig
 from repro.serve import (AnalysisService, JobJournal, JobRecord, JobStatus,
                          QueueFullError, ServeClient, ServeClientError,
-                         ServiceDrainingError, Watchdog, create_server)
+                         ServiceDrainingError, create_server)
 from repro.store import ResultStore
 
 SMALL = ["SEC-01"]
@@ -250,14 +254,25 @@ class TestCoalesceRace:
             service.stop()
 
 
-class TestWatchdog:
+def _pid(record):
+    return int(re.search(r"pid (\d+)", record.worker).group(1))
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+class TestDeadlines:
     def test_hung_job_times_out_while_fleet_keeps_working(self, tmp_path):
         faults.install(faults.FaultPlan.of(faults.FaultSpec(
             site="serve.run_job", key="srsue", kind="hang", nth=1,
-            scope="all", hang_seconds=1.0)))
+            hang_seconds=5.0)))
         service = AnalysisService(ResultStore(tmp_path / "store"),
-                                  workers=2,
-                                  watchdog_interval_seconds=0.05)
+                                  workers=2)
         service.start()
         try:
             before = obs.metrics().snapshot()
@@ -269,9 +284,11 @@ class TestWatchdog:
             timed_out = _wait(service, hung.job_id, timeout=5.0)
             assert timed_out.status is JobStatus.TIMEOUT
             assert timed_out.error.startswith("JobDeadlineExceeded")
-            # Marked within the deadline margin — long before the
-            # 1.0s hang would have released the worker.
-            assert timed_out.elapsed_seconds() <= 0.8
+            # Marked within the deadline margin — long before the 5s
+            # hang would have released the worker.
+            assert timed_out.elapsed_seconds() <= 0.25 + 0.5
+            # The hung worker was killed, not abandoned.
+            assert not _alive(_pid(timed_out))
 
             assert _wait(service, other.job_id).status is JobStatus.DONE
             after = obs.metrics().snapshot()
@@ -282,92 +299,192 @@ class TestWatchdog:
             # Capacity survived: a post-timeout job still completes.
             extra = service.submit(_config("reference", props=SMALL))
             assert _wait(service, extra.job_id).status is JobStatus.DONE
+            assert service.stats()["workers_alive"] == 2
         finally:
             faults.clear()
             service.stop()
 
-    def test_scan_with_injected_clock_is_deterministic(self, tmp_path):
-        service = AnalysisService(ResultStore(tmp_path / "store"),
-                                  workers=1)
-        record = service.submit(_config(deadline_seconds=1.0))
-        watchdog = Watchdog(service, interval_seconds=0.05)
-        # Not yet running: no deadline applies.
-        assert watchdog.scan(now=record.submitted_at + 100.0) == 0
-        record.status = JobStatus.RUNNING
-        record.started_at = 1000.0
-        record.worker = "serve-worker-0"
-        assert watchdog.scan(now=1000.9) == 0
-        assert watchdog.scan(now=1001.1) == 1
-        assert record.status is JobStatus.TIMEOUT
-        assert "1.000s deadline" in record.error
-        # Terminal: a second scan finds nothing to do.
-        assert watchdog.scan(now=1002.0) == 0
-
     def test_timeout_is_accounted_before_it_is_published(self, tmp_path):
+        faults.install(faults.FaultPlan.of(faults.FaultSpec(
+            site="serve.run_job", key="srsue", kind="hang", nth=1,
+            hang_seconds=5.0)))
         service = AnalysisService(ResultStore(tmp_path / "store"),
                                   workers=1)
+        seen = []
+
+        class Spy(JobRecord):
+            def __setattr__(self, name, value):
+                if name == "status" and value is JobStatus.TIMEOUT:
+                    seen.append(obs.metrics().snapshot())
+                super().__setattr__(name, value)
+
+        record = service.submit(_config(deadline_seconds=0.2))
+        record.__class__ = Spy
+        before = obs.metrics().snapshot()
         service.start()
         try:
-            with service._fleet_lock:
-                worker = service._threads[0].name
-            # Registered but never queued: the idle worker cannot pick
-            # it up, so only the scan below moves it.
-            record = JobRecord(job_id=service.registry.allocate_id(),
-                               digest="d" * 64, implementation="srsue",
-                               payload=_config(), deadline_seconds=1.0,
-                               status=JobStatus.RUNNING, started_at=100.0,
-                               worker=worker)
-            service.registry.add(record)
-            before = obs.metrics().snapshot()
-            seen = []
-
-            class Spy(JobRecord):
-                def __setattr__(self, name, value):
-                    if name == "status" and value is JobStatus.TIMEOUT:
-                        seen.append(obs.metrics().snapshot())
-                    super().__setattr__(name, value)
-
-            record.__class__ = Spy
-            assert Watchdog(service).scan(now=102.0) == 1
-            assert record.status is JobStatus.TIMEOUT
+            assert _wait(service, record.job_id,
+                         timeout=5.0).status is JobStatus.TIMEOUT
             at_publish, = seen
             assert _counter_delta(before, at_publish,
                                   "serve.jobs_timed_out") == 1
             assert _counter_delta(before, at_publish,
                                   "serve.workers_respawned") == 1
         finally:
+            faults.clear()
             service.stop()
 
-    def test_late_completion_cannot_resurrect_a_timeout(self, tmp_path):
+    def test_worker_crash_fails_only_that_job(self, tmp_path):
+        faults.install(faults.FaultPlan.parse(["serve.run_job@srsue:exit:1"]))
         service = AnalysisService(ResultStore(tmp_path / "store"),
                                   workers=1)
-        record = service.submit(_config(deadline_seconds=0.1))
-        record.status = JobStatus.RUNNING
-        record.started_at = 0.0
-        Watchdog(service).scan(now=10.0)
-        assert record.status is JobStatus.TIMEOUT
-        before = obs.metrics().snapshot()
-        service._finalize(record, JobStatus.DONE, counters={"x": 1})
-        assert record.status is JobStatus.TIMEOUT
-        assert record.counters == {}
-        assert _counter_delta(before, obs.metrics().snapshot(),
-                              "serve.late_completions") == 1
-
-    def test_abandoned_worker_is_replaced(self, tmp_path):
-        service = AnalysisService(ResultStore(tmp_path / "store"),
-                                  workers=2)
         service.start()
         try:
-            with service._fleet_lock:
-                victim = service._threads[0].name
             before = obs.metrics().snapshot()
-            service._abandon_worker(victim)
-            stats = service.stats()
-            assert stats["workers_alive"] == 2
+            crashed = _wait(service, service.submit(_config()).job_id)
+            assert crashed.status is JobStatus.FAILED
+            assert crashed.error.startswith("WorkerExited")
+            assert f"status {faults.DEFAULT_EXIT_CODE}" in crashed.error
             assert _counter_delta(before, obs.metrics().snapshot(),
                                   "serve.workers_respawned") == 1
+            # The service survived: the next job runs on the replacement.
+            healthy = service.submit(_config("reference"))
+            assert _wait(service, healthy.job_id).status is JobStatus.DONE
+        finally:
+            faults.clear()
+            service.stop()
+
+    def test_replacement_forks_safely_while_module_locks_are_held(
+            self, tmp_path):
+        # A worker forked while another thread holds faults._lock (an
+        # HTTP thread inside journal.append, say) or obs._lock gets
+        # fresh locks, so its obs.reset() and first trip cannot
+        # deadlock.
+        faults.install(faults.FaultPlan.of(faults.FaultSpec(
+            site="serve.run_job", key="srsue", kind="hang", nth=1,
+            hang_seconds=5.0)))
+        service = AnalysisService(ResultStore(tmp_path / "store"),
+                                  workers=1)
+        service.start()
+        held, release = threading.Event(), threading.Event()
+
+        def hold_module_locks():
+            with faults._lock, obs._lock:
+                held.set()
+                release.wait(30.0)
+
+        holder = threading.Thread(target=hold_module_locks, daemon=True)
+        try:
+            hung = service.submit(_config(deadline_seconds=0.3))
+            _wait_running(service, hung.job_id)
+            holder.start()
+            assert held.wait(5.0)
+            # The deadline kill respawns the worker under the held lock.
+            assert _wait(service, hung.job_id,
+                         timeout=5.0).status is JobStatus.TIMEOUT
+            after = service.submit(_config("reference",
+                                           deadline_seconds=20.0))
+            assert _wait(service, after.job_id).status is JobStatus.DONE
+        finally:
+            release.set()
+            faults.clear()
+            service.stop()
+
+
+class TestProcessWorkers:
+    def test_overlapping_jobs_get_exact_counters(self, tmp_path):
+        job_a = _config("srsue", props=["SEC-01", "SEC-02"])
+        job_b = _config("reference", props=["SEC-01", "SEC-03", "SEC-04"])
+        solo = AnalysisService(ResultStore(tmp_path / "solo"), workers=1)
+        solo.start()
+        try:
+            solo_a = _wait(solo, solo.submit(job_a).job_id).counters
+            solo_b = _wait(solo, solo.submit(job_b).job_id).counters
+        finally:
+            solo.stop()
+
+        # A hangs 1s inside its pipeline (before verifying SEC-02),
+        # so B runs entirely inside A's window on the second worker.
+        faults.install(faults.FaultPlan.of(faults.FaultSpec(
+            site="engine.verify_one", key="SEC-02", kind="hang", nth=1,
+            scope="all", hang_seconds=1.0)))
+        service = AnalysisService(ResultStore(tmp_path / "store"),
+                                  workers=2)
+        before = obs.metrics().snapshot()
+        service.start()
+        try:
+            a = service.submit(job_a)
+            _wait_running(service, a.job_id)
+            time.sleep(0.2)
+            b = service.submit(job_b)
+            done_a = _wait(service, a.job_id)
+            done_b = _wait(service, b.job_id)
+        finally:
+            faults.clear()
+            service.stop()
+        assert done_a.status is done_b.status is JobStatus.DONE
+        assert done_a.started_at <= done_b.started_at
+        assert done_b.finished_at <= done_a.finished_at
+        for done, alone in ((done_a, solo_a), (done_b, solo_b)):
+            for name in ("mc.checks", "cegar.iterations"):
+                assert alone[name] > 0
+                assert done.counters[name] == alone[name], name
+        # Both drains are merged into the service's own registry.
+        assert _counter_delta(before, obs.metrics().snapshot(),
+                              "mc.checks") \
+            == solo_a["mc.checks"] + solo_b["mc.checks"]
+
+    def test_worker_hosts_the_engine_process_pool(self, tmp_path):
+        service = AnalysisService(ResultStore(tmp_path / "store"),
+                                  workers=1)
+        service.start()
+        try:
+            assert all(not worker.process.daemon
+                       for worker in service._workers)
+            done = _wait(service, service.submit(
+                _config("srsue", props=["SEC-01", "SEC-02", "SEC-03"],
+                        jobs=2)).job_id)
+            assert done.status is JobStatus.DONE, done.error
+            assert len(service.report(done.digest)["results"]) == 3
         finally:
             service.stop()
+
+    def test_sigkilled_server_leaves_no_worker_behind(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--workers", "2", "--store-dir", str(tmp_path / "store")],
+            env=env, stderr=subprocess.PIPE, text=True)
+        try:
+            assert "listening on" in server.stderr.readline()
+            workers = _children(server.pid)
+            assert len(workers) == 2
+        finally:
+            server.kill()
+            server.wait()
+            server.stderr.close()
+        # Each idle worker sees EOF on its pipe and exits.
+        deadline = time.monotonic() + 10.0
+        while any(_alive(pid) for pid in workers) \
+                and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in workers if _alive(pid)]
+
+
+def _children(pid):
+    """Live child PIDs of ``pid`` (Linux ``/proc``)."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid and fields[0] != "Z":
+            children.append(int(entry))
+    return children
 
 
 class TestBackpressureAndDrain:
@@ -435,7 +552,7 @@ class TestBackpressureAndDrain:
             site="serve.run_job", key="srsue", kind="hang", nth=1,
             scope="all", hang_seconds=0.8)))
         service = AnalysisService(ResultStore(tmp_path / "store"),
-                                  workers=1, join_timeout_seconds=0.1)
+                                  workers=1)
         service.start()
         try:
             busy = service.submit(_config("srsue"))
@@ -449,7 +566,7 @@ class TestBackpressureAndDrain:
             assert service.job(parked.job_id).status is JobStatus.QUEUED
         finally:
             faults.clear()
-            service.stop(wait=False)
+            service.stop()
 
     def test_readiness_endpoint_splits_from_liveness(self, tmp_path):
         service = AnalysisService(ResultStore(tmp_path / "store"),
@@ -486,7 +603,7 @@ class TestWorkerLoopStranding:
                                   workers=1)
         service.start()
         try:
-            def explode(record):
+            def explode(record, index):
                 raise RuntimeError("dispatch exploded")
 
             service._run_job = explode
@@ -544,23 +661,33 @@ class TestStopLifecycle:
         finally:
             service.stop()
 
-    def test_leaked_threads_are_counted_and_surfaced(self, tmp_path):
+    def test_stop_kills_a_hung_job_and_requeues_it(self, tmp_path):
         faults.install(faults.FaultPlan.of(faults.FaultSpec(
-            site="serve.run_job", key="srsue", kind="hang", nth=1,
-            scope="all", hang_seconds=1.5)))
+            site="serve.run_job", key="srsue", kind="hang", nth=1)))
+        journal_dir = tmp_path / "journal"
         service = AnalysisService(ResultStore(tmp_path / "store"),
-                                  workers=1, join_timeout_seconds=0.1)
+                                  workers=1, journal=JobJournal(journal_dir))
         service.start()
         try:
             hung = service.submit(_config("srsue"))
             _wait_running(service, hung.job_id)
-            before = obs.metrics().snapshot()
-            service.stop(wait=True)
-            assert _counter_delta(before, obs.metrics().snapshot(),
-                                  "serve.stop_leaked_threads") == 1
-            assert service.stats()["leaked_threads"]
+            pid = _pid(hung)
+            started = time.monotonic()
+            service.stop()
+            assert time.monotonic() - started < 5.0
+            assert not _alive(pid)
+            assert service.stats()["workers_alive"] == 0
+            assert hung.status is JobStatus.QUEUED
+            # Start without finish: a replay would run it again too.
+            pending = JobJournal(journal_dir).replay().pending
+            assert [entry["job_id"] for entry in pending] == [hung.job_id]
         finally:
             faults.clear()
+        service.start()
+        try:
+            assert _wait(service, hung.job_id).status is JobStatus.DONE
+        finally:
+            service.stop()
 
 
 class TestJournalFaultInjection:
