@@ -594,9 +594,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="print the PipelineStats summary table")
     analyze.add_argument("--group-timeout", type=float, default=None,
                          metavar="SECONDS",
-                         help="wall-clock budget per pooled property "
-                              "group (timed-out groups are retried, then "
-                              "completed serially)")
+                         help="deadline of each property group, in "
+                              "seconds from its dispatch to a worker "
+                              "(a timed-out group's worker is killed; the "
+                              "group is retried, then completed serially)")
     analyze.add_argument("--inject-fault", action="append", default=[],
                          metavar="SITE[@KEY]:KIND[:NTH[:SCOPE]]",
                          help="debug: install a deterministic fault, e.g. "

@@ -15,10 +15,10 @@ This module exploits that in three layers:
    threat-instrumented base model for each distinct
    :class:`~repro.threat.ThreatConfig` (the 49 LTL properties share only
    21 configurations, and cached models keep their warm state graphs);
-3. a ``concurrent.futures`` worker pool (``jobs=N``, default
-   ``os.cpu_count()``) that fans property *groups* out over processes,
-   one group per shared threat configuration so cache locality survives
-   the fan-out.
+3. a fan-out of property *groups* over ``jobs=N`` (default
+   ``os.cpu_count()``) forked :class:`~repro.workers.Worker`
+   processes, one group per shared threat configuration so cache
+   locality survives the fan-out.
 
 Scheduling never changes verdicts: results are reassembled in catalog
 order and every verdict is byte-identical to a serial run
@@ -27,33 +27,35 @@ order and every verdict is byte-identical to a serial run
 Fault tolerance (the crash-isolation contract): a single property's
 failure must never erase the other 61 verdicts.  Checker exceptions are
 caught at the group boundary and become :attr:`Verdict.ERROR` results
-carrying the exception chain as evidence; crashed or timed-out groups
-are retried up to :data:`MAX_GROUP_RETRIES` times with backoff on a
-rebuilt pool (a dead worker breaks the whole ``ProcessPoolExecutor``),
-and groups that exhaust their retries degrade to the same in-process
-loop that ``jobs=1`` runs, so :meth:`VerificationEngine.verify` always
-returns a complete outcome map.  Retries, timeouts, rebuilds and
-degradations are counted in the :mod:`repro.obs` metrics registry
-(``engine.group_*`` / ``engine.pool_rebuilds``).  The deterministic
-fault-injection harness (:mod:`repro.faults`) has trip points at
-``engine.verify_group`` and ``engine.verify_one`` so every one of those
-paths is exercisable on demand.
+carrying the exception chain as evidence.  Each pooled group runs under
+its own deadline, counted from its dispatch; a group whose worker dies,
+raises or passes that deadline has that worker, and only that worker,
+killed and replaced, and is retried up to :data:`MAX_GROUP_RETRIES`
+times with backoff.  Groups that exhaust their retries degrade to the
+same in-process loop that ``jobs=1`` runs once the pooled work has
+drained, so :meth:`VerificationEngine.verify` always returns a complete
+outcome map.  Retries, timeouts, worker respawns and degradations are
+counted in the :mod:`repro.obs` metrics registry (``engine.group_*`` /
+``engine.pool_rebuilds``, which counts respawned workers).  The
+deterministic fault-injection harness (:mod:`repro.faults`) has trip
+points at ``engine.verify_group`` and ``engine.verify_one`` so every
+one of those paths is exercisable on demand.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import functools
 import hashlib
-import math
 import multiprocessing
 import os
 import threading
 import time
 import types
-from concurrent.futures import ProcessPoolExecutor, wait as futures_wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from multiprocessing import connection
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import faults, obs, schema
 from ..conformance import TestCase, full_suite, measure_coverage, \
@@ -68,6 +70,7 @@ from ..properties.spec import (CATEGORY_PRIVACY, CATEGORY_SECURITY,
                                EXTRACTED_VOCAB, KIND_LTL, KIND_TESTBED,
                                Property)
 from ..testbed import run_attack
+from ..workers import Worker, exception_chain
 from .cegar import CegarContext, CegarResult, check_with_cegar, \
     threat_config_key
 from .report import PropertyResult, Verdict
@@ -102,7 +105,8 @@ class AnalysisConfig:
     max_cegar_iterations: int = 8
     #: custom conformance suite (defaults to ``full_suite(implementation)``)
     cases: Optional[Sequence[TestCase]] = None
-    #: wall-clock budget for one pooled property group; ``None`` → no limit
+    #: deadline of one pooled property group, in seconds from its
+    #: dispatch to a worker; ``None`` → no limit
     group_timeout_seconds: Optional[float] = None
     #: deterministic fault plan to install for this run (debugging /
     #: resilience testing; see :mod:`repro.faults`)
@@ -451,18 +455,6 @@ def verify_one(prop: Property, implementation: str,
     return result
 
 
-def exception_chain(exc: BaseException) -> str:
-    """Compact, deterministic rendering of an exception and its causes."""
-    parts: List[str] = []
-    seen = set()
-    current: Optional[BaseException] = exc
-    while current is not None and id(current) not in seen:
-        seen.add(id(current))
-        parts.append(f"{type(current).__name__}: {current}")
-        current = current.__cause__ or current.__context__
-    return " <- caused by ".join(parts)
-
-
 def error_result(prop: Property, exc: BaseException) -> PropertyResult:
     """The crash-isolation outcome: a checker failure as a result row."""
     obs.count("engine.property_errors")
@@ -577,66 +569,47 @@ class ImplementationRun:
     context: CegarContext
     max_iterations: int = 8
     #: persistent MC verdict cache directory, propagated to the contexts
-    #: built in pool workers (``None`` → off)
+    #: built in engine workers (``None`` → off)
     mc_cache_dir: Optional[str] = None
 
 
-# Worker-process state, installed once per worker by the pool initializer:
-# implementation -> (ue_fsm, mme_model, max_iterations, CegarContext).
-_WORKER_STATE: Dict[str, Tuple] = {}
+def _group_verifier(runs: Sequence[ImplementationRun],
+                    tasks: List[Tuple[str, List[Property]]]
+                    ) -> Callable[[int], Tuple]:
+    """The engine workers' handler: verify ``tasks[index]`` and return
+    its results with its serialised ``verify.property`` spans.
 
-
-def _init_worker(payloads: Dict[str, Tuple],
-                 fault_plan: Optional[Dict] = None) -> None:
-    # Under the ``fork`` start method the child inherits the parent's
-    # observatory — including whatever spans the parent has open.  Reset
-    # so the worker records only its own work, as fresh root spans the
-    # parent can adopt back.  The fault plan is re-installed explicitly
-    # (covering non-fork start methods) and its call counters zeroed, so
-    # every fresh worker counts k-th-call triggers from zero — which is
-    # what makes a persistent fault re-fire deterministically after a
-    # pool rebuild.
-    obs.reset()
-    faults.install(faults.FaultPlan.from_dict(fault_plan)
-                   if fault_plan is not None else None)
-    _WORKER_STATE.clear()
-    for implementation, (ue_fsm, mme_model, max_iterations,
-                         mc_cache_dir) in payloads.items():
-        _WORKER_STATE[implementation] = (
-            ue_fsm, mme_model, max_iterations,
-            CegarContext(ue_fsm, mme_model, mc_cache_dir=mc_cache_dir))
-
-
-def _verify_group(task: Tuple[str, List[Property]]
-                  ) -> Tuple[List[Tuple[str, PropertyResult]],
-                             List[Dict], Dict]:
-    """Worker-side task: verify one group, ship results *and* telemetry.
-
-    The ``verify.property`` spans finish as roots in the worker (nothing
-    is open above them there); their serialised forms plus a drain of the
-    worker's metrics registry ride back with the results so the parent
-    can reassemble one trace and one registry for the whole run.
-
-    Each property is verified through the group-boundary catch: a
-    checker exception errors *that property* (``Verdict.ERROR``), not
-    the group.
+    The handler reaches the workers through the fork, so a request is
+    just the task index.  Each worker builds its own
+    :class:`CegarContext` per implementation, so counters stay
+    identical across ``jobs`` widths.  Every property goes through the
+    group-boundary catch: a checker exception errors that property.
     """
-    implementation, props = task
-    faults.trip("engine.verify_group", key=props[0].identifier)
-    ue_fsm, mme_model, max_iterations, context = \
-        _WORKER_STATE[implementation]
-    results = [(prop.identifier,
-                _safe_verify_one(prop, implementation, ue_fsm, mme_model,
-                                 max_iterations, context))
-               for prop in props]
-    spans = [span.to_dict() for span in obs.drain_spans()]
-    return results, spans, obs.metrics().drain()
+    runs_by_impl = {run.implementation: run for run in runs}
+    contexts: Dict[str, CegarContext] = {}
+
+    def verify_group(index: int) -> Tuple:
+        implementation, props = tasks[index]
+        faults.trip("engine.verify_group", key=props[0].identifier)
+        run = runs_by_impl[implementation]
+        context = contexts.get(implementation)
+        if context is None:
+            context = contexts[implementation] = CegarContext(
+                run.ue_fsm, run.mme_model, mc_cache_dir=run.mc_cache_dir)
+        results = [(prop.identifier,
+                    _safe_verify_one(prop, implementation, run.ue_fsm,
+                                     run.mme_model, run.max_iterations,
+                                     context))
+                   for prop in props]
+        return results, [span.to_dict() for span in obs.drain_spans()]
+
+    return verify_group
 
 
 #: Pooled attempts beyond the first before a group degrades to the
 #: in-process loop.
 MAX_GROUP_RETRIES = 2
-#: Base of the exponential backoff slept before a pooled retry round.
+#: Base of the exponential backoff slept before a pooled retry.
 RETRY_BACKOFF_SECONDS = 0.05
 
 
@@ -655,22 +628,24 @@ def _verify_in_process(run: ImplementationRun,
 
 
 class VerificationEngine:
-    """Fans property groups out over a process pool (or runs serially).
+    """Fans property groups out over worker processes (or runs serially).
 
     ``jobs=1`` (or a single task) short-circuits to an in-process loop —
-    no pool, no pickling — which is also the deterministic baseline the
-    parallel path is validated against.
+    no workers, no pickling — which is also the deterministic baseline
+    the parallel path is validated against.
 
-    The pooled path is fault-tolerant: per-task futures with an optional
-    per-group timeout (``group_timeout``), up to
-    :data:`MAX_GROUP_RETRIES` retries with exponential backoff (base
-    :data:`RETRY_BACKOFF_SECONDS`) on a rebuilt pool for crashed or
-    timed-out groups, and graceful degradation to the in-process loop
-    for groups that exhaust their retries.  Because every verdict is a pure
-    function of its inputs, none of this changes results — a degraded
-    run's verdicts are byte-identical to a clean run's (modulo
-    ``Verdict.ERROR`` rows for properties whose checker deterministically
-    fails everywhere).
+    The pooled path is fault-tolerant: each group runs on one of
+    ``min(jobs, groups)`` killable :class:`~repro.workers.Worker`
+    processes under an optional deadline of ``group_timeout`` seconds
+    from its dispatch.  A crashed, raising or timed-out group has its
+    own worker killed and replaced and is retried up to
+    :data:`MAX_GROUP_RETRIES` times with exponential backoff (base
+    :data:`RETRY_BACKOFF_SECONDS`); groups that exhaust their retries
+    degrade gracefully to the in-process loop.  Because every verdict
+    is a pure function of its inputs, none of this changes results — a
+    degraded run's verdicts are byte-identical to a clean run's (modulo
+    ``Verdict.ERROR`` rows for properties whose checker
+    deterministically fails everywhere).
     """
 
     def __init__(self, jobs: Optional[int] = None,
@@ -713,143 +688,91 @@ class VerificationEngine:
     def _verify_pooled(self, runs: Sequence[ImplementationRun],
                        tasks: List[Tuple[str, List[Property]]]
                        ) -> Dict[Tuple[str, str], PropertyResult]:
-        payloads = {run.implementation:
-                    (run.ue_fsm, run.mme_model, run.max_iterations,
-                     run.mc_cache_dir)
-                    for run in runs}
-        plan = faults.installed()
-        plan_payload = plan.to_dict() if plan is not None else None
+        """Dispatch the groups over ``min(jobs, groups)`` workers.
+
+        A group's deadline runs from its dispatch.  A group whose worker
+        dies, raises or passes the deadline has that worker killed and
+        replaced, and is queued again at the front, or degraded past
+        :data:`MAX_GROUP_RETRIES`.  The ``finally`` kills the workers
+        rather than wait for them.
+        """
+        handler = _group_verifier(runs, tasks)
         runs_by_impl = {run.implementation: run for run in runs}
         outcomes: Dict[Tuple[str, str], PropertyResult] = {}
+        queue = collections.deque(range(len(tasks)))
+        attempts = [0] * len(tasks)
+        degraded: List[int] = []
+        slots: List[Worker] = []
+        #: slot -> (task index, deadline) of the group it runs
+        running: Dict[int, Tuple[int, Optional[float]]] = {}
 
-        pending = list(range(len(tasks)))
-        attempts = {index: 0 for index in pending}
-        pool: Optional[ProcessPoolExecutor] = None
+        def fail(slot: int, counter: str) -> None:
+            index, _ = running.pop(slot)
+            slots[slot].close()
+            slots[slot] = Worker(f"engine-worker-{slot}", handler)
+            obs.count("engine.pool_rebuilds")
+            attempts[index] += 1
+            obs.count(counter)
+            if attempts[index] > MAX_GROUP_RETRIES:
+                degraded.append(index)
+                return
+            obs.count("engine.group_retries")
+            if RETRY_BACKOFF_SECONDS > 0:
+                time.sleep(min(1.0, RETRY_BACKOFF_SECONDS
+                               * (2 ** (attempts[index] - 1))))
+            queue.appendleft(index)
+
         try:
-            while pending:
-                if pool is None:
-                    pool = ProcessPoolExecutor(
-                        max_workers=min(self.jobs, len(pending)),
-                        mp_context=self._mp_context(),
-                        initializer=_init_worker,
-                        initargs=(payloads, plan_payload))
-                completed, failures = self._run_round(
-                    pool, [(index, tasks[index]) for index in pending])
-                for index, (group_results, spans, metrics) in \
-                        completed.items():
-                    obs.adopt_spans(spans)
+            for slot in range(min(self.jobs, len(tasks))):
+                slots.append(Worker(f"engine-worker-{slot}", handler))
+            while queue or running:
+                for slot, worker in enumerate(slots):
+                    if not queue or slot in running:
+                        continue
+                    index = queue.popleft()
+                    deadline = (None if self.group_timeout is None
+                                else time.monotonic() + self.group_timeout)
+                    running[slot] = (index, deadline)
+                    # A worker killed while idle reads as EOF below.
+                    with contextlib.suppress(OSError):
+                        worker.conn.send(index)
+                deadlines = [deadline for _, deadline in running.values()
+                             if deadline is not None]
+                ready = connection.wait(
+                    [slots[slot].conn for slot in running],
+                    timeout=(max(0.0, min(deadlines) - time.monotonic())
+                             if deadlines else None))
+                for slot, (index, deadline) in list(running.items()):
+                    conn = slots[slot].conn
+                    if conn not in ready:
+                        if deadline is not None \
+                                and time.monotonic() >= deadline:
+                            fail(slot, "engine.group_timeouts")
+                        continue
+                    try:
+                        ok, reply, metrics = conn.recv()
+                    except (EOFError, OSError):     # the worker died
+                        ok, reply, metrics = False, None, {}
                     obs.metrics().merge(metrics)
-                    implementation = tasks[index][0]
+                    if not ok:
+                        fail(slot, "engine.group_crashes")
+                        continue
+                    del running[slot]
+                    group_results, spans = reply
+                    obs.adopt_spans(spans)
                     for identifier, result in group_results:
-                        outcomes[(implementation, identifier)] = result
-
-                retry: List[int] = []
-                degrade: List[int] = []
-                for index, reason in failures:
-                    attempts[index] += 1
-                    obs.count("engine.group_crashes" if reason == "crash"
-                              else "engine.group_timeouts")
-                    if attempts[index] > MAX_GROUP_RETRIES:
-                        degrade.append(index)
-                    else:
-                        obs.count("engine.group_retries")
-                        retry.append(index)
-                if failures:
-                    # The pool may hold hung or dead workers — the only
-                    # safe recovery is a teardown + rebuild (a broken
-                    # ProcessPoolExecutor refuses further submissions
-                    # anyway), after a bounded backoff.
-                    self._teardown_pool(pool)
-                    pool = None
-                    obs.count("engine.pool_rebuilds")
-                    if retry and RETRY_BACKOFF_SECONDS > 0:
-                        worst = max(attempts[index] for index, _ in
-                                    failures)
-                        time.sleep(min(1.0, RETRY_BACKOFF_SECONDS
-                                       * (2 ** (worst - 1))))
-                for index in degrade:
-                    # Degraded mode: the group exhausted its pooled
-                    # retries and completes in-process instead.
-                    obs.count("engine.group_degradations")
-                    implementation, props = tasks[index]
-                    with obs.span("engine.fallback",
-                                  implementation=implementation,
-                                  group=props[0].identifier):
-                        outcomes.update(_verify_in_process(
-                            runs_by_impl[implementation], props))
-                # Keep submission order stable across rounds so retried
-                # groups land on workers deterministically.
-                pending = sorted(retry)
+                        outcomes[(tasks[index][0], identifier)] = result
         finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
+            for worker in slots:
+                worker.close()
+
+        for index in degraded:
+            # Degraded mode: the group exhausted its pooled retries and
+            # completes in-process instead.
+            obs.count("engine.group_degradations")
+            implementation, props = tasks[index]
+            with obs.span("engine.fallback", implementation=implementation,
+                          group=props[0].identifier):
+                outcomes.update(_verify_in_process(
+                    runs_by_impl[implementation], props))
         return outcomes
-
-    def _run_round(self, pool: ProcessPoolExecutor,
-                   batch: List[Tuple[int, Tuple[str, List[Property]]]]
-                   ) -> Tuple[Dict[int, Tuple], List[Tuple[int, str]]]:
-        """Submit one round of groups; classify every entry's fate.
-
-        Returns ``(completed, failures)`` where ``completed`` maps the
-        task index to the worker payload and ``failures`` lists
-        ``(index, "crash" | "timeout")`` entries.  A round with a
-        timeout budget gives the batch ``group_timeout`` seconds per
-        scheduling wave (``ceil(batch / workers)``); whatever has not
-        finished by then is failed as a timeout — a hung worker cannot
-        be cancelled, only torn down with the pool.
-        """
-        futures: Dict = {}
-        failures: List[Tuple[int, str]] = []
-        completed: Dict[int, Tuple] = {}
-        for position, (index, task) in enumerate(batch):
-            try:
-                futures[pool.submit(_verify_group, task)] = index
-            except BrokenProcessPool:
-                failures.extend((pending_index, "crash")
-                                for pending_index, _ in batch[position:])
-                break
-
-        deadline = None
-        if self.group_timeout is not None:
-            width = max(1, min(self.jobs, len(batch)))
-            waves = math.ceil(len(futures) / width) if futures else 1
-            deadline = time.monotonic() + self.group_timeout * waves
-
-        not_done = set(futures)
-        while not_done:
-            timeout = None
-            if deadline is not None:
-                timeout = max(0.0, deadline - time.monotonic())
-            done, not_done = futures_wait(not_done, timeout=timeout)
-            for future in done:
-                index = futures[future]
-                try:
-                    completed[index] = future.result()
-                except Exception:  # noqa: BLE001 - crashed worker/group
-                    failures.append((index, "crash"))
-            if not done and not_done:
-                # Deadline expired with groups still queued or running.
-                for future in not_done:
-                    future.cancel()
-                    failures.append((futures[future], "timeout"))
-                break
-        return completed, failures
-
-    @staticmethod
-    def _teardown_pool(pool: ProcessPoolExecutor) -> None:
-        """Shut a pool down hard, reclaiming hung or dead workers."""
-        processes = list(getattr(pool, "_processes", {}).values())
-        pool.shutdown(wait=False, cancel_futures=True)
-        for process in processes:
-            try:
-                process.terminate()
-            except Exception:  # noqa: BLE001 - already dead is fine
-                obs.count("engine.worker_terminate_failures")
-
-    @staticmethod
-    def _mp_context():
-        """Prefer ``fork`` (cheap workers, no re-import) when available."""
-        try:
-            return multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            return multiprocessing.get_context()

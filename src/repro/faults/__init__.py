@@ -14,16 +14,16 @@ dependency-free layer:
   e.g. ``channel.impair@downlink:attach_accept:raise:0:all`` suppresses
   a downlink message persistently to drive a timer to its abort limit);
 - a :class:`FaultPlan` bundles specs and is installed process-wide
-  (:func:`install`); pool workers re-install the parent's plan and
-  reset their call counters in the pool initializer, so the k-th call
-  is counted per process and re-fires deterministically in every
-  rebuilt worker;
+  (:func:`install`); a forked :class:`~repro.workers.Worker` inherits
+  the parent's plan and resets its call counters when it starts, so
+  the k-th call is counted per process and re-fires deterministically
+  in every replacement worker;
 - production code marks injection points with :func:`trip`, which is a
   single ``is None`` check when no plan is installed — zero overhead in
   normal operation.
 
 Scoping: a spec with ``scope="worker"`` (the default) only fires inside
-worker processes (engine pool workers and ``repro serve`` workers), never
+worker processes (engine workers and ``repro serve`` workers), never
 in the main process — that is what lets the
 engine's in-process serial fallback *complete* a group whose worker
 attempts persistently crashed or hung.  ``scope="all"`` fires
@@ -210,8 +210,8 @@ def clear() -> None:
 
 
 def reset_counters() -> None:
-    """Zero the call counters without uninstalling the plan (used by
-    pool workers: a fork inherits the parent's counts)."""
+    """Zero the call counters without uninstalling the plan: a worker
+    counts from zero, so a fault re-fires in every replacement."""
     with _lock:
         _counts.clear()
 

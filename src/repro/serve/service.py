@@ -18,7 +18,7 @@ Every job travels one of two paths:
   into a hit here), then hands it to the slot's worker process, which
   runs the full pipeline via :meth:`ProChecker.from_config(...).analyze()
   <repro.core.prochecker.ProChecker.analyze>` — inheriting the engine's
-  process-pool fan-out, retry/timeout resilience and crash isolation —
+  worker fan-out, retry/timeout resilience and crash isolation —
   and sends the report back to be filed in the store.
 
 ``"type": "fuzz"`` payloads take the same route: the worker runs the
@@ -26,18 +26,19 @@ campaign (:mod:`repro.fuzz`) and sends back its ``FuzzResult.summary()``,
 which is filed inline on the job record.  Campaigns are
 **store-exempt** — they always run cold.
 
-The fleet: each slot is one long-lived worker process, forked with the
-engine's ``fork`` context and owned by exactly one parent thread.  The
-owner sends the job over a pipe and waits for the reply until the job's
-deadline.  The reply carries the result plus a drain of the worker's own
-metrics registry; that drain becomes the record's ``counters`` and is
-merged into the service's registry, as the engine merges its pool
-workers' drains.  A worker runs one job at a time and nothing else, so
-per-job counters are exact even when jobs overlap; they appear when the
-job finishes.  Workers are not daemonic (a job may fan out over the
-engine's process pool inside its worker), lead their own process group
-(killing the group reclaims that pool too), and exit when the parent
-closes its end of the pipe — a SIGKILLed service leaves none behind.
+The fleet: each slot is one long-lived :class:`~repro.workers.Worker`
+process (the same killable primitive the engine runs its property groups
+on), owned by exactly one parent thread.  The owner sends the job over
+the worker's pipe and waits for the reply until the job's deadline.  The
+reply carries the result plus a drain of the worker's own metrics
+registry; that drain becomes the record's ``counters`` and is merged
+into the service's registry, as the engine merges its workers' drains.
+A worker runs one job at a time and nothing else, so per-job counters
+are exact even when jobs overlap; they appear when the job finishes.
+A serve worker leads its own process group, and the engine workers a
+``"jobs": 2`` job forks stay in it, so killing the group on a deadline
+reclaims both layers; the worker exits when the parent closes its end
+of the pipe — a SIGKILLed service leaves none behind.
 
 Resilience layer:
 
@@ -71,20 +72,16 @@ counts calls from zero.
 
 from __future__ import annotations
 
-import contextlib
-import os
 import queue
-import signal
 import threading
 import time
-from multiprocessing import util
 from typing import Dict, List, Optional, Tuple
 
 from .. import faults, obs
-from ..core.engine import VerificationEngine, exception_chain
 from ..core.prochecker import AnalysisConfig, ProChecker
 from ..fuzz import FuzzConfig, Fuzzer, campaign_digest
 from ..store import ResultStore, job_digest, job_key
+from ..workers import Worker, exception_chain
 from .jobs import KIND_FUZZ, JobRecord, JobRegistry, JobStatus
 from .journal import JobJournal
 
@@ -112,78 +109,15 @@ class ServiceDrainingError(ServiceError):
         self.retry_after_seconds = retry_after_seconds
 
 
-# ----------------------------------------------------------------------
-# Worker processes
-# ----------------------------------------------------------------------
-#: Serialises pipe creation and fork: a child forked by another thread
-#: between ``Pipe()`` and closing the parent's copy of the child end
-#: would hold that end open and hide the worker's death from the owner.
-_fork_lock = threading.Lock()
-
-
-def _run_in_worker(kind: str, payload: Dict) -> Tuple[bool, object]:
-    """One job, inside a worker: ``(ok, report payload | campaign
-    summary)`` or ``(False, exception chain)``."""
-    try:
-        faults.trip("serve.run_job", key=payload.get("implementation"))
-        if kind == KIND_FUZZ:
-            return True, Fuzzer(FuzzConfig.from_dict(payload)).run().summary()
-        config = AnalysisConfig.from_dict(payload)
-        return True, ProChecker.from_config(config).analyze().to_dict()
-    except Exception as exc:  # noqa: BLE001 - job isolation boundary
-        return False, exception_chain(exc)
-
-
-def _worker_main(conn, parent_end) -> None:
-    """Worker process body: run jobs off ``conn`` until the parent
-    closes its end of the pipe."""
-    parent_end.close()
-    obs.reset()
-    faults.reset_counters()
-    with contextlib.suppress(EOFError, BrokenPipeError):
-        while True:
-            kind, payload = conn.recv()
-            ok, result = _run_in_worker(kind, payload)
-            obs.drain_spans()
-            conn.send((ok, result, obs.metrics().drain()))
-
-
-def _kill(process) -> None:
-    """SIGKILL a worker and every process it forked (its engine pool)."""
-    with contextlib.suppress(ProcessLookupError):  # the group is gone
-        os.killpg(process.pid, signal.SIGKILL)
-
-
-def _reap(process, conn) -> None:
-    _kill(process)
-    process.join()
-    conn.close()
-
-
-class _Worker:
-    """One forked worker process and the parent's end of its pipe."""
-
-    def __init__(self, name: str):
-        context = VerificationEngine._mp_context()
-        with _fork_lock:
-            self.conn, child_end = context.Pipe()
-            self.process = context.Process(
-                target=_worker_main, args=(child_end, self.conn), name=name)
-            self.process.start()
-            # Its own process group, before it can fork an engine pool.
-            os.setpgid(self.process.pid, self.process.pid)
-            child_end.close()
-        self.name = f"{name} (pid {self.process.pid})"
-        #: Kill, reap and close; idempotent, and also run at interpreter
-        #: exit, before multiprocessing joins its non-daemonic children.
-        self.close = util.Finalize(self, _reap,
-                                   args=(self.process, self.conn),
-                                   exitpriority=0)
-
-    def kill(self) -> None:
-        """Kill from any thread; the owner reaps and closes."""
-        if self.process.exitcode is None:
-            _kill(self.process)
+def _run_in_worker(request: Tuple[str, Dict]) -> object:
+    """One job, inside a worker: the report payload or the campaign
+    summary."""
+    kind, payload = request
+    faults.trip("serve.run_job", key=payload.get("implementation"))
+    if kind == KIND_FUZZ:
+        return Fuzzer(FuzzConfig.from_dict(payload)).run().summary()
+    config = AnalysisConfig.from_dict(payload)
+    return ProChecker.from_config(config).analyze().to_dict()
 
 
 class AnalysisService:
@@ -218,7 +152,7 @@ class AnalysisService:
         self._queue: "queue.Queue[Optional[str]]" = queue.Queue()
         #: slot index -> its current worker; only the slot's owner
         #: thread replaces an entry
-        self._workers: List[_Worker] = []
+        self._workers: List[Worker] = []
         self._owners: List[threading.Thread] = []
         self._started = False
         self._stopping = False
@@ -237,7 +171,7 @@ class AnalysisService:
         self._rebuild_queue()
         if self.journal is not None and not self._recovered:
             self._recover()
-        self._workers = [_Worker(f"serve-worker-{index}")
+        self._workers = [Worker(f"serve-worker-{index}", _run_in_worker)
                          for index in range(self.workers)]
         self._owners = [threading.Thread(target=self._owner_loop,
                                          args=(index,),
@@ -615,7 +549,8 @@ class AnalysisService:
         service is stopping."""
         self._workers[index].close()
         if not self._stopping:
-            self._workers[index] = _Worker(f"serve-worker-{index}")
+            self._workers[index] = Worker(f"serve-worker-{index}",
+                                          _run_in_worker)
             obs.count("serve.workers_respawned")
 
     def _finalize(self, record: JobRecord, status: JobStatus, counter: str,

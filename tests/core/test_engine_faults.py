@@ -10,6 +10,8 @@ whose healthy verdicts are byte-identical to a fault-free serial run.
 """
 
 import json
+import multiprocessing
+import time
 
 import pytest
 
@@ -240,6 +242,46 @@ class TestPoolResilience:
         assert counters.get("engine.group_timeouts", 0) >= 1
         assert counters.get("engine.group_retries", 0) >= 1
         assert counters.get("engine.group_degradations", 0) >= 1
+
+    def test_only_hung_groups_time_out(self, monkeypatch):
+        """Each deadline runs from its group's own dispatch: the groups
+        queued behind two hung ones run on replacement workers and are
+        never counted as timeouts."""
+        self.retry_budget(monkeypatch, retries=0, backoff=0.0)
+        plan = faults.FaultPlan.of(*(
+            faults.FaultSpec("engine.verify_group", faults.KIND_HANG,
+                             key=key, hang_seconds=20.0)
+            for key in ("SEC-01", "PRIV-01")))
+        report = analyze_many([AnalysisConfig(
+            "reference", jobs=2, property_ids=SUBSET, fault_plan=plan,
+            group_timeout_seconds=1.0)])["reference"]
+        assert report.counts()["errors"] == 0
+        counters = engine_counters(report)
+        assert counters["engine.group_timeouts"] == 2
+        assert counters["engine.group_degradations"] == 2
+        parent = multiprocessing.current_process().name
+        for identifier in ("SEC-10", "SEC-11"):
+            assert report.result_for(identifier).worker not in ("", parent)
+
+    def test_interrupt_does_not_wait_for_a_hung_group(self, monkeypatch):
+        """An exception escaping the dispatch loop kills the workers,
+        hung ones included, instead of waiting for them."""
+        engine.extraction_cache.get("reference")
+        spec = faults.FaultSpec("engine.verify_group", faults.KIND_HANG,
+                                key="SEC-01", hang_seconds=20.0)
+
+        def interrupt(registry, payload):
+            raise KeyboardInterrupt
+
+        before = set(multiprocessing.active_children())
+        monkeypatch.setattr(obs.MetricsRegistry, "merge", interrupt)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            analyze_many([AnalysisConfig(
+                "reference", jobs=2, property_ids=SUBSET,
+                fault_plan=faults.FaultPlan.of(spec))])
+        assert time.monotonic() - started < 3.0
+        assert set(multiprocessing.active_children()) <= before
 
     def test_clean_pooled_run_reports_no_resilience_events(self, baseline):
         report = analyze_many([AnalysisConfig(

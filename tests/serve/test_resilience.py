@@ -449,6 +449,39 @@ class TestProcessWorkers:
         finally:
             service.stop()
 
+    def test_deadline_reclaims_nested_engine_workers(self, tmp_path):
+        # The engine workers of a "jobs": 2 job stay in the serve
+        # worker's process group, so the deadline's group kill takes
+        # them down with it while they hang.
+        faults.install(faults.FaultPlan.of(faults.FaultSpec(
+            site="engine.verify_group", kind="hang", nth=1,
+            hang_seconds=30.0)))
+        service = AnalysisService(ResultStore(tmp_path / "store"),
+                                  workers=1)
+        service.start()
+        try:
+            record = service.submit(_config(
+                "srsue", props=["SEC-01", "PRIV-01"], jobs=2,
+                deadline_seconds=2.0))
+            _wait_running(service, record.job_id)
+            serve_worker = _pid(service.job(record.job_id))
+            engine_workers = []
+            while len(engine_workers) < 2 \
+                    and record.status is JobStatus.RUNNING:
+                engine_workers = _children(serve_worker)
+                time.sleep(0.02)
+            assert len(engine_workers) == 2
+            assert _wait(service, record.job_id,
+                         timeout=10.0).status is JobStatus.TIMEOUT
+            gone_by = time.monotonic() + 1.0
+            while any(_running(pid) for pid in engine_workers) \
+                    and time.monotonic() < gone_by:
+                time.sleep(0.02)
+            assert not [pid for pid in engine_workers if _running(pid)]
+        finally:
+            faults.clear()
+            service.stop()
+
     def test_sigkilled_server_leaves_no_worker_behind(self, tmp_path):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         server = subprocess.Popen(
@@ -485,6 +518,15 @@ def _children(pid):
         if int(fields[1]) == pid and fields[0] != "Z":
             children.append(int(entry))
     return children
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process; a zombie counts as gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
 
 
 class TestBackpressureAndDrain:
